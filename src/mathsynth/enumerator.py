@@ -14,6 +14,18 @@ walk over equation states with one action per (production, literal
 arguments) pair.  Integer arguments come from the literals 0..10 here;
 newConstGen composites are reachable through enumerate_programs only.
 States are deduplicated, keeping the best-priority program per state.
+
+The chain search's frontier holds one cursor per node: the rank r of the
+next action to try on it, in the library's best-first action order.  A
+cursor's key is ``(-(logp + a_r), seq, r)``, with logp the node's log prior,
+a_r the log probability of action r and seq the node's creation number, and
+the cursor with the smallest key is expanded next.  Expanding a cursor
+moves it on to the next rank the node can afford under max_program_cost and
+tries action r.  Every popped cursor counts as one expansion, whether the
+action applies, fails its precondition, or is skipped because its index
+lies outside the equation; max_expansions and patience count these.  The
+keys never repeat, so the expansion order is fully determined by them,
+whatever structure stores the cursors (see _Frontier).
 """
 
 from __future__ import annotations
@@ -21,6 +33,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -176,7 +190,7 @@ def enumerate_programs(
 # --- per-task solving ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Action:
     log_prob: float
     prefix: str  # child render = prefix + parent render + suffix
@@ -184,6 +198,7 @@ class _Action:
     head: Term  # Prim or AbsRef
     lits: tuple
     step_cost: int
+    prim: Optional[str]  # the primitive's name; None for an abstraction
 
 
 def _chain_actions(lib: Library) -> list[_Action]:
@@ -199,13 +214,14 @@ def _chain_actions(lib: Library) -> list[_Action]:
         if c.arg_ctxs[:1] != (CTX_TSTR,) or any(a != CTX_TINT for a in c.arg_ctxs[1:]):
             continue  # not a chainable equation transformer
         head = _candidate_head(c)
+        prim = head.name if type(head) is Prim else None
         n_int = len(c.arg_ctxs) - 1
         step_cost = 100 + (1 + n_int) + 100 * n_int
         for lits in itertools.product(range(0, 11), repeat=n_int):
             logp = c.log_prob + sum(lit_logp[v] for v in lits)
             suffix = "".join(f" {v}" for v in lits) + ")"
             actions.append(
-                _Action(logp, f"({c.render_key} ", suffix, head, lits, step_cost)
+                _Action(logp, f"({c.render_key} ", suffix, head, lits, step_cost, prim)
             )
     actions.sort(key=lambda a: (-a.log_prob, a.prefix, a.suffix))
     return actions
@@ -223,11 +239,63 @@ class _ChainNode:
         self.seq = seq
 
 
-def _apply_action(action: _Action, eq: Equation):
-    head = action.head
-    if type(head) is Prim:
-        return apply_primitive(head.name, eq, action.lits[0])
-    return apply_abstraction(head.abstraction, (eq,) + action.lits)
+class _Frontier:
+    """The chain search's cursors, popped in key order.
+
+    A cursor is a tuple ``(neg_logp, seq, rank, node)`` whose first three
+    fields are its key; keys must be distinct, which holds when seq names a
+    node and every node has one cursor.  Rank-0 cursors, those of new nodes,
+    sit in a heap.  A cursor moved on to rank r >= 1 is appended to the
+    deque of rank r.  Only pops at lower ranks feed that deque, so arrivals
+    nearly always come in key order; one that does not (a float near-tie
+    between two nodes, or a cursor that skipped ranks under
+    max_program_cost) is inserted in its place, so every deque stays sorted.
+    A second heap holds the head of each non-empty deque, at most one entry
+    per rank.  A pop takes the smaller of the two heap tops: the cursor that
+    one heap of all cursors would pop, at the price of heap operations on a
+    few hundred entries instead of on every node.
+    """
+
+    __slots__ = ("_new", "_ranks", "_heads")
+
+    def __init__(self, n_ranks: int):
+        self._new = []
+        self._ranks = [deque() for _ in range(n_ranks)]
+        self._heads = []
+
+    def __bool__(self):
+        return bool(self._new or self._heads)
+
+    def push(self, cursor: tuple) -> None:
+        rank = cursor[2]
+        if rank == 0:
+            heapq.heappush(self._new, cursor)
+            return
+        q = self._ranks[rank]
+        if not q:
+            q.append(cursor)
+            heapq.heappush(self._heads, cursor)
+        elif cursor > q[-1]:
+            q.append(cursor)
+        else:
+            insort(q, cursor)
+            if q[0] is cursor:
+                heads = self._heads
+                heads[next(i for i, h in enumerate(heads) if h[2] == rank)] = cursor
+                heapq.heapify(heads)
+
+    def pop(self) -> tuple:
+        """Remove and return the cursor with the smallest key."""
+        new, heads = self._new, self._heads
+        if heads and (not new or heads[0] < new[0]):
+            q = self._ranks[heads[0][2]]
+            cursor = q.popleft()
+            if q:
+                heapq.heapreplace(heads, q[0])
+            else:
+                heapq.heappop(heads)
+            return cursor
+        return heapq.heappop(new)
 
 
 def _rebuild_program(node: _ChainNode) -> Term:
@@ -261,6 +329,7 @@ def solve_task_with_stats(
     var_logp = next(c.log_prob for c in lib.candidates(CTX_TSTR) if c.kind == "var")
     found: list[tuple[Term, float]] = []
     cutoff = budget.max_expansions
+    max_cost = budget.max_program_cost
 
     root = _ChainNode(task.input, var_logp, 101, None, None, 0)
     if check_solved(task.input) == task.goal:
@@ -269,31 +338,39 @@ def solve_task_with_stats(
             cutoff = min(cutoff, patience)
 
     visited = {task.input: True}
-    heap = []
+    n_actions = len(actions)
+    frontier = _Frontier(n_actions)
+    push = frontier.push
 
     def push_cursor(node: _ChainNode, rank: int):
-        while rank < len(actions):
+        while rank < n_actions:
             action = actions[rank]
-            if node.cost + action.step_cost > budget.max_program_cost:
+            if node.cost + action.step_cost > max_cost:
                 rank += 1  # later actions may be cheaper only in logp, not cost
                 continue
-            child_logp = node.logp + action.log_prob
-            heapq.heappush(heap, (-child_logp, node.seq, rank, node))
+            push((-(node.logp + action.log_prob), node.seq, rank, node))
             return
 
     push_cursor(root, 0)
     expansions = 0
     nodes_made = 0
     start = time.monotonic()
-    while heap and len(found) < k and expansions < cutoff:
+    while frontier and len(found) < k and expansions < cutoff:
         expansions += 1
         if expansions % 1024 == 0 and time.monotonic() - start > budget.wall_timeout:
             break
-        neg_logp, _, rank, node = heapq.heappop(heap)
+        neg_logp, _, rank, node = frontier.pop()
         push_cursor(node, rank + 1)
         action = actions[rank]
+        eq = node.eq
         try:
-            child_eq = _apply_action(action, node.eq)
+            if action.prim is not None:
+                index = action.lits[0]
+                if index >= eq.size:
+                    continue
+                child_eq = apply_primitive(action.prim, eq, index)
+            else:
+                child_eq = apply_abstraction(action.head.abstraction, (eq,) + action.lits)
         except (PrimitiveError, EvalError):
             continue
         if child_eq in visited:
@@ -303,7 +380,8 @@ def solve_task_with_stats(
         child = _ChainNode(
             child_eq, -neg_logp, node.cost + action.step_cost, node, action, nodes_made
         )
-        if check_solved(child_eq) == task.goal:
+        solution = check_solved(child_eq)
+        if solution is not None and solution == task.goal:
             found.append((_rebuild_program(child), child.logp))
             if patience is not None:
                 cutoff = min(cutoff, expansions + patience)

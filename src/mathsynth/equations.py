@@ -136,6 +136,11 @@ def subtree_at(e: Expr, i: int) -> Expr:
     """Subtree whose pre-order index is ``i`` (root = 0, left before right)."""
     if i < 0 or i >= e.size:
         raise EquationError(f"subtree index {i} out of range for {e.size} nodes")
+    return _descend(e, i)
+
+
+def _descend(e: Expr, i: int) -> Expr:
+    """subtree_at for an index already known to satisfy 0 <= i < e.size."""
     while i:
         left = e.left
         if i <= left.size:
@@ -164,6 +169,8 @@ def replace_subtree(e: Expr, i: int, r: Expr) -> Expr:
 
 
 def _splice(t: Expr, i: int, r: Expr) -> Expr:
+    """replace_subtree without its checks, for an index already known to be
+    in range and a replacement that keeps '=' at the root only."""
     if i == 0:
         return r
     left = t.left

@@ -23,9 +23,8 @@ from .equations import (
     Expr,
     Node,
     Var,
-    is_equation,
-    replace_subtree,
-    subtree_at,
+    _descend,
+    _splice,
 )
 
 
@@ -36,25 +35,31 @@ class PrimitiveError(Exception):
 _ADDITIVE = ("+", "-")
 _MULTIPLICATIVE = ("*", "/")
 _FLIP = {"+": "-", "-": "+", "*": "/", "/": "*"}
+_ZERO = Const(0)
+_ONE = Const(1)
 
 
 def _subtree(e: Equation, i: int) -> Expr:
-    if not is_equation(e):
+    if type(e) is not Node or e.op != "=":
         raise PrimitiveError("primitives operate on '='-rooted equations")
     if i < 0 or i >= e.size:
         raise PrimitiveError(f"index {i} out of range for {e.size} nodes")
-    return subtree_at(e, i)
+    return _descend(e, i)
 
 
 def _eq_free_subtree(e: Equation, i: int) -> Expr:
     y = _subtree(e, i)
-    if is_equation(y):
+    if type(y) is Node and y.op == "=":
         raise PrimitiveError("operand subtree may not contain '='")
     return y
 
 
 def _replace(e: Equation, i: int, r: Expr) -> Equation:
-    return replace_subtree(e, i, r)
+    """replace_subtree for an index _subtree accepted.  Every rule builds an
+    '='-rooted replacement at the root and an '='-free one below it."""
+    if i == 0:
+        return r
+    return _splice(e, i, r)
 
 
 # --- arithmetic on both sides ----------------------------------------------
@@ -144,7 +149,7 @@ def op_swap(e: Equation, i: int) -> Equation:
 def _as_product(t: Expr):
     """View a term as a '*' node; a bare x counts as (* 1 x)."""
     if type(t) is Var:
-        return Node("*", Const(1), t)
+        return Node("*", _ONE, t)
     if type(t) is Node and t.op == "*":
         return t
     return None
@@ -224,11 +229,11 @@ def _simp(t: Expr) -> Expr:
             if rv == 1 and op in ("*", "/"):
                 return left
             if rv == 0 and op == "*":
-                return Const(0)
+                return _ZERO
         if op == "-" and left == right:
-            return Const(0)
+            return _ZERO
         if op == "/" and left == right and left.has_var:
-            return Const(1)
+            return _ONE
     if left is t.left and right is t.right:
         return t
     return Node(op, left, right)
@@ -254,22 +259,22 @@ def op_simplify(e: Equation, i: int) -> Equation:
 
 def op_addzero(e: Equation, i: int) -> Equation:
     """y -> (+ y 0)."""
-    return _replace(e, i, Node("+", _eq_free_subtree(e, i), Const(0)))
+    return _replace(e, i, Node("+", _eq_free_subtree(e, i), _ZERO))
 
 
 def op_subzero(e: Equation, i: int) -> Equation:
     """y -> (- y 0)."""
-    return _replace(e, i, Node("-", _eq_free_subtree(e, i), Const(0)))
+    return _replace(e, i, Node("-", _eq_free_subtree(e, i), _ZERO))
 
 
 def op_multone(e: Equation, i: int) -> Equation:
     """y -> (* y 1)."""
-    return _replace(e, i, Node("*", _eq_free_subtree(e, i), Const(1)))
+    return _replace(e, i, Node("*", _eq_free_subtree(e, i), _ONE))
 
 
 def op_divone(e: Equation, i: int) -> Equation:
     """y -> (/ y 1)."""
-    return _replace(e, i, Node("/", _eq_free_subtree(e, i), Const(1)))
+    return _replace(e, i, Node("/", _eq_free_subtree(e, i), _ONE))
 
 
 EQUATION_PRIMITIVES = {

@@ -16,6 +16,16 @@ state per equation-valued result on the application spine, treating an
 abstraction call as a single step: states produced inside an abstraction
 body are not recorded.
 
+A saturated abstraction call runs the abstraction's compiled form: a tree of
+Python closures built from its body on first use and cached on the
+Abstraction.  A call of a primitive or of another abstraction with all its
+arguments becomes a direct call; any other application goes through the
+evaluator's generic application.  It is the only way an abstraction runs,
+from apply_abstraction and from evaluate alike, and it fails with EvalError
+where the evaluator would.  The cache is never pickled: an Abstraction
+travels as its body, name and origin iteration, and a process that receives
+one compiles it again.
+
 Cost charges 100 per terminal (primitive, literal, variable or abstraction
 reference) and 1 per application or lambda, so ``(lambda (sub $0 5))``
 costs 303 and ``(lambda $0)`` costs 102.
@@ -112,7 +122,7 @@ class IntLit:
 class Abstraction:
     """A named, reusable program fragment; equality is by body alone."""
 
-    __slots__ = ("name", "body", "origin_iteration", "_hash", "_type")
+    __slots__ = ("name", "body", "origin_iteration", "_hash", "_type", "_compiled")
 
     def __init__(self, body: "Term", name: Optional[str] = None, origin_iteration: int = 0):
         if type(body) is not Lambda:
@@ -122,6 +132,11 @@ class Abstraction:
         self.origin_iteration = origin_iteration
         self._hash = hash(("abstraction", body))
         self._type = None
+        self._compiled = None
+
+    def __reduce__(self):
+        # the caches, the compiled closure above all, are rebuilt on demand
+        return (Abstraction, (self.body, self.name, self.origin_iteration))
 
     @property
     def arity(self) -> int:
@@ -135,6 +150,17 @@ class Abstraction:
         if self._type is None:
             self._type = infer_type(self.body)
         return self._type
+
+    def run(self, args: tuple):
+        """Apply to exactly ``arity`` evaluated arguments, in call order."""
+        fn = self._compiled
+        if fn is None:
+            core = self.body
+            for _ in range(self.arity):
+                core = core.body
+            fn = self._compiled = _compile(core)
+        # de Bruijn: $0 is the innermost binder, i.e. the last argument
+        return fn(args[::-1])
 
     def __eq__(self, other):
         return self is other or (
@@ -446,8 +472,11 @@ class _Closure:
 def _run_prim(name: str, args):
     if name == "newConstGen":
         return new_const_gen(*args)
-    e, i = args
-    if not isinstance(e, Node) or not is_equation(e):
+    return _run_equation_prim(name, *args)
+
+
+def _run_equation_prim(name: str, e, i):
+    if type(e) is not Node or e.op != "=":
         raise EvalError(f"{name} expects an equation as its first argument")
     try:
         return EQUATION_PRIMITIVES[name](e, i)
@@ -508,11 +537,7 @@ class _Machine:
                 got = val.args + (arg,)
                 a = val.abstraction
                 if len(got) == a.arity:
-                    core = a.body
-                    for _ in range(a.arity):
-                        core = core.body
-                    # de Bruijn: $0 is the innermost binder, i.e. the last arg
-                    val = self.eval(core, tuple(reversed(got)), None)
+                    val = a.run(got)
                 else:
                     val = _AbsVal(a, got)
             elif tv is _Closure:
@@ -522,10 +547,53 @@ class _Machine:
         return val
 
 
+def _compile(term):
+    """Closure computing ``term``'s value from a de Bruijn environment tuple,
+    as _Machine.eval would without recording states.
+
+    Compiled code has no loop, and an abstraction body refers only to
+    abstractions learned before it, so it needs no step limit; what it hands
+    to a fresh _Machine counts against that machine's limit."""
+    tt = type(term)
+    if tt is IntLit:
+        value = term.value
+        return lambda env: value
+    if tt is VarRef:
+        index = term.index
+        return lambda env: env[index]
+    if tt is Prim:
+        name = term.name
+        return lambda env: _PrimVal(name)
+    if tt is AbsRef:
+        a = term.abstraction
+        return lambda env: _AbsVal(a)
+    if tt is Lambda:
+        return lambda env: _Closure(term, env)
+    head = term
+    args = []
+    while type(head) is Apply:
+        args.append(head.arg)
+        head = head.fn
+    args.reverse()
+    arg_fns = [_compile(arg) for arg in args]
+    if type(head) is Prim and head.name in EQUATION_PRIMITIVES and len(args) == 2:
+        name = head.name
+        eq_fn, index_fn = arg_fns
+        return lambda env: _run_equation_prim(name, eq_fn(env), index_fn(env))
+    if type(head) is AbsRef and len(args) == head.abstraction.arity:
+        run = head.abstraction.run
+        return lambda env: run(tuple([f(env) for f in arg_fns]))
+    head_fn = _compile(head)
+    return lambda env: _Machine(False).apply_value(
+        head_fn(env), [f(env) for f in arg_fns], None
+    )
+
+
 def apply_abstraction(a: Abstraction, args):
     """Run an abstraction on fully evaluated argument values."""
-    machine = _Machine(False)
-    return machine.apply_value(_AbsVal(a), list(args), None)
+    if len(args) == a.arity:
+        return a.run(tuple(args))
+    return _Machine(False).apply_value(_AbsVal(a), list(args), None)
 
 
 def evaluate(

@@ -26,10 +26,11 @@ from typing import Optional
 from .compression import compress_detailed
 from .corpus import reinstantiate, save_checkpoint, _atomic_write
 from .enumerator import SearchBudget, Task, solve_task_with_stats
-from .equations import check_solved
+from .equations import EquationError, check_solved
 from .grammar import Library, fit_grammar
 from .metric import dedup_steps, extract_steps, solution_cost_f
-from .programs import AbsRef, Apply, Lambda, VarRef, evaluate, render_program
+from .primitives import PrimitiveError
+from .programs import AbsRef, Apply, EvalError, Lambda, VarRef, evaluate, render_program
 
 
 class TrainingError(Exception):
@@ -136,7 +137,7 @@ def _passes_probes(program, task: Task, n_probes: int, seed: int) -> bool:
         probe = reinstantiate(task, rng, instance=i + 1)
         try:
             result, _ = evaluate(program, probe.input)
-        except Exception:
+        except (EvalError, PrimitiveError, EquationError):
             return False
         if check_solved(result) != probe.goal:
             return False

@@ -3,18 +3,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import equations
 from mathsynth.corpus import load_checkpoint, make_task
 from mathsynth.enumerator import SearchBudget, Task
 from mathsynth.equations import check_solved, parse_prefix
 from mathsynth.grammar import Library, fit_grammar
 from mathsynth.programs import (
+    TINT,
     AbsRef,
     Abstraction,
     Apply,
+    EvalError,
     Lambda,
     VarRef,
+    _Machine,
+    apply_abstraction,
     evaluate,
+    is_arrow,
     parse_program,
 )
 from mathsynth.training import (
@@ -201,3 +209,69 @@ def test_probes_reject_instance_specific_programs():
 def test_probes_accept_template_general_programs():
     task = make_task("x_plus_b", 0, random.Random(1))
     assert _passes_probes(parse_program(CHAIN), task, n_probes=3, seed=9)
+
+
+def test_two_workers_write_the_same_bytes_as_one(mini_run, tmp_path):
+    """The pool pickles the library to its workers and the found programs
+    back; the artifacts must not tell that they travelled."""
+    _, one_worker = mini_run
+    train, test, lib, config = seeded_setup()
+    config = RunConfig(**{**config.__dict__, "out_dir": str(tmp_path), "jobs": 2})
+    run_training_loop(train, test, lib, config)
+    files = sorted(p.name for p in one_worker.iterdir())
+    assert files == sorted(p.name for p in tmp_path.iterdir())
+    for name in files:
+        assert (one_worker / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+HAND_WRITTEN = [
+    CHAIN,
+    "(lambda (lambda (simplify (swap $1 $0) 0)))",
+    "(lambda (lambda (lambda (simplify (rrotate (div $2 $1) 1) $0))))",
+    f"(lambda (#{CHAIN} (swap $0 1)))",
+    "(lambda (lambda (#(lambda (lambda (simplify (swap $1 $0) 0))) (sub $1 $0) 2)))",
+    "(lambda ((lambda (swap $0 1)) $0))",
+]
+HAND_WRITTEN_ABSTRACTIONS = [Abstraction(parse_program(text)) for text in HAND_WRITTEN]
+
+
+def _inline(term):
+    """``term`` with every abstraction reference replaced by its body."""
+    tt = type(term)
+    if tt is AbsRef:
+        return _inline(term.abstraction.body)
+    if tt is Lambda:
+        return Lambda(_inline(term.body))
+    if tt is Apply:
+        return Apply(_inline(term.fn), _inline(term.arg))
+    return term
+
+
+def _interpreted(a, args):
+    """The abstraction run by the generic evaluator alone, never compiled."""
+    machine = _Machine(False)
+    return machine.apply_value(machine.eval(_inline(a.body), (), None), list(args), None)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except EvalError:
+        return EvalError
+
+
+@settings(max_examples=150, deadline=None)
+@given(eq=equations(), lits=st.lists(st.integers(0, 10), min_size=2, max_size=2))
+def test_compiled_abstractions_match_the_interpreter(mini_run, eq, lits):
+    result, _ = mini_run
+    learned = result.library.abstractions()
+    assert learned
+    for a in learned + HAND_WRITTEN_ABSTRACTIONS:
+        args, t, ints = [], a.type, iter(lits)
+        while is_arrow(t):
+            args.append(next(ints) if t[1] == TINT else eq)
+            t = t[2]
+        args = tuple(args)
+        assert _outcome(lambda: apply_abstraction(a, args)) == _outcome(
+            lambda: _interpreted(a, args)
+        ), (a, args)
