@@ -122,7 +122,6 @@ def cmd_train(args) -> int:
         rounds=args.rounds,
         max_arity=args.max_arity,
         probes=args.probes,
-        dedup=args.dedup,
         jobs=args.jobs,
         out_dir=args.out,
     )
@@ -163,6 +162,12 @@ def cmd_solve(args) -> int:
     solutions, programs, rows = {}, {}, []
     for task in tasks:
         found, stats = solve_task_with_stats(task, lib, budget, k=1)
+        if stats.get("timed_out"):
+            log.warning(
+                "search for task %s hit the wall timeout after %d expansions",
+                task.id,
+                stats["expansions"],
+            )
         if found:
             prog = found[0][0]
             sol = extract_steps(prog, task.input, lib=lib, task_id=task.id)
@@ -299,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--max-arity", type=int, default=2)
     p.add_argument("--probes", type=int, default=2)
-    p.add_argument("--dedup", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=cmd_train)

@@ -20,12 +20,24 @@ next action to try on it, in the library's best-first action order.  A
 cursor's key is ``(-(logp + a_r), seq, r)``, with logp the node's log prior,
 a_r the log probability of action r and seq the node's creation number, and
 the cursor with the smallest key is expanded next.  Expanding a cursor
-moves it on to the next rank the node can afford under max_program_cost and
-tries action r.  Every popped cursor counts as one expansion, whether the
-action applies, fails its precondition, or is skipped because its index
-lies outside the equation; max_expansions and patience count these.  The
-keys never repeat, so the expansion order is fully determined by them,
-whatever structure stores the cursors (see _Frontier).
+tries action r and moves the cursor on to the next rank the node can
+afford under max_program_cost.  Every expanded cursor counts as one
+expansion, whether the action applies, fails its precondition, or is
+skipped because its index lies outside the equation or the subtree there
+fails the primitive's shape precondition; max_expansions and patience
+count these.  The keys never repeat, so the expansion order is fully
+determined by them, whatever structure stores the cursors (see _Frontier).
+
+A popped node is expanded in a run: it keeps the floor, rank after rank,
+while its next cursor's key is smaller than every key in the frontier, the
+children it adds included, and goes back into the frontier only when
+another cursor is smaller.  Every rank of a run counts as one expansion,
+the popped one and each continued one alike, and each is subject to the
+same k, cutoff and wall-clock checks as a pop.  So a run expands exactly
+the cursors a pop per expansion would, in the same order.  For the length
+of a run the search holds the state's subtrees in a pre-order table, which
+lets it skip a primitive without calling it (see
+primitives.SHAPE_PRECONDITIONS); the table is dropped when the run ends.
 """
 
 from __future__ import annotations
@@ -37,11 +49,11 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .equations import Equation, check_solved
+from .equations import Equation, check_solved, subtrees
 from .grammar import CTX_TINT, CTX_TINT_INNER, CTX_TSTR, Library
-from .primitives import PrimitiveError, apply_primitive
+from .primitives import SHAPE_PRECONDITIONS, PrimitiveError, apply_primitive
 from .programs import (
     AbsRef,
     Apply,
@@ -199,6 +211,7 @@ class _Action:
     lits: tuple
     step_cost: int
     prim: Optional[str]  # the primitive's name; None for an abstraction
+    shape: Optional[Callable]  # the primitive's shape precondition
 
 
 def _chain_actions(lib: Library) -> list[_Action]:
@@ -215,13 +228,16 @@ def _chain_actions(lib: Library) -> list[_Action]:
             continue  # not a chainable equation transformer
         head = _candidate_head(c)
         prim = head.name if type(head) is Prim else None
+        shape = SHAPE_PRECONDITIONS.get(prim)
         n_int = len(c.arg_ctxs) - 1
         step_cost = 100 + (1 + n_int) + 100 * n_int
         for lits in itertools.product(range(0, 11), repeat=n_int):
             logp = c.log_prob + sum(lit_logp[v] for v in lits)
             suffix = "".join(f" {v}" for v in lits) + ")"
             actions.append(
-                _Action(logp, f"({c.render_key} ", suffix, head, lits, step_cost, prim)
+                _Action(
+                    logp, f"({c.render_key} ", suffix, head, lits, step_cost, prim, shape
+                )
             )
     actions.sort(key=lambda a: (-a.log_prob, a.prefix, a.suffix))
     return actions
@@ -246,9 +262,9 @@ class _Frontier:
     fields are its key; keys must be distinct, which holds when seq names a
     node and every node has one cursor.  Rank-0 cursors, those of new nodes,
     sit in a heap.  A cursor moved on to rank r >= 1 is appended to the
-    deque of rank r.  Only pops at lower ranks feed that deque, so arrivals
-    nearly always come in key order; one that does not (a float near-tie
-    between two nodes, or a cursor that skipped ranks under
+    deque of rank r.  Only expansions at lower ranks feed that deque, so
+    arrivals nearly always come in key order; one that does not (a float
+    near-tie between two nodes, or a cursor that skipped ranks under
     max_program_cost) is inserted in its place, so every deque stays sorted.
     A second heap holds the head of each non-empty deque, at most one entry
     per rank.  A pop takes the smaller of the two heap tops: the cursor that
@@ -283,6 +299,13 @@ class _Frontier:
                 heads = self._heads
                 heads[next(i for i, h in enumerate(heads) if h[2] == rank)] = cursor
                 heapq.heapify(heads)
+
+    def peek(self) -> Optional[tuple]:
+        """The cursor pop would return, left in place; None when empty."""
+        new, heads = self._new, self._heads
+        if heads and (not new or heads[0] < new[0]):
+            return heads[0]
+        return new[0] if new else None
 
     def pop(self) -> tuple:
         """Remove and return the cursor with the smallest key."""
@@ -342,56 +365,80 @@ def solve_task_with_stats(
     frontier = _Frontier(n_actions)
     push = frontier.push
 
-    def push_cursor(node: _ChainNode, rank: int):
+    def first_cursor(node: _ChainNode) -> Optional[tuple]:
+        rank = 0
         while rank < n_actions:
             action = actions[rank]
-            if node.cost + action.step_cost > max_cost:
-                rank += 1  # later actions may be cheaper only in logp, not cost
-                continue
-            push((-(node.logp + action.log_prob), node.seq, rank, node))
-            return
+            if node.cost + action.step_cost <= max_cost:
+                return (-(node.logp + action.log_prob), node.seq, rank, node)
+            rank += 1  # later actions may be cheaper only in logp, not cost
+        return None
 
-    push_cursor(root, 0)
+    cursor = first_cursor(root)
+    if cursor is not None:
+        push(cursor)
     expansions = 0
     nodes_made = 0
+    timed_out = False
+    node = None  # the node whose run is in progress, at cursor rank
     start = time.monotonic()
-    while frontier and len(found) < k and expansions < cutoff:
+    while (node is not None or frontier) and len(found) < k and expansions < cutoff:
         expansions += 1
         if expansions % 1024 == 0 and time.monotonic() - start > budget.wall_timeout:
+            timed_out = True
             break
-        neg_logp, _, rank, node = frontier.pop()
-        push_cursor(node, rank + 1)
+        if node is None:
+            _, seq, rank, node = frontier.pop()
+            eq, logp, cost = node.eq, node.logp, node.cost
+            table = subtrees(eq)
+            n_nodes = len(table)
+            top = frontier.peek()  # from here on, only children join the frontier
         action = actions[rank]
-        eq = node.eq
+        child_eq = None
         try:
             if action.prim is not None:
                 index = action.lits[0]
-                if index >= eq.size:
-                    continue
-                child_eq = apply_primitive(action.prim, eq, index)
+                if index < n_nodes and action.shape(table[index]):
+                    child_eq = apply_primitive(action.prim, eq, index)
             else:
                 child_eq = apply_abstraction(action.head.abstraction, (eq,) + action.lits)
         except (PrimitiveError, EvalError):
-            continue
-        if child_eq in visited:
-            continue
-        visited[child_eq] = True
-        nodes_made += 1
-        child = _ChainNode(
-            child_eq, -neg_logp, node.cost + action.step_cost, node, action, nodes_made
-        )
-        solution = check_solved(child_eq)
-        if solution is not None and solution == task.goal:
-            found.append((_rebuild_program(child), child.logp))
-            if patience is not None:
-                cutoff = min(cutoff, expansions + patience)
-        push_cursor(child, 0)
+            pass
+        if child_eq is not None and child_eq not in visited:
+            visited[child_eq] = True
+            nodes_made += 1
+            child = _ChainNode(
+                child_eq, logp + action.log_prob, cost + action.step_cost, node, action,
+                nodes_made,
+            )
+            solution = check_solved(child_eq)
+            if solution is not None and solution == task.goal:
+                found.append((_rebuild_program(child), child.logp))
+                if patience is not None:
+                    cutoff = min(cutoff, expansions + patience)
+            cursor = first_cursor(child)
+            if cursor is not None:
+                push(cursor)
+                if top is None or cursor < top:
+                    top = cursor
+        rank += 1
+        while rank < n_actions and cost + actions[rank].step_cost > max_cost:
+            rank += 1
+        if rank == n_actions:
+            node = None
+        elif top is not None:
+            cursor = (-(logp + actions[rank].log_prob), seq, rank, node)
+            if top < cursor:
+                push(cursor)
+                node = None
 
     stats = {
         "expansions": expansions,
         "states": len(visited),
         "solutions": len(found),
     }
+    if timed_out:
+        stats["timed_out"] = True
     return found, stats
 
 

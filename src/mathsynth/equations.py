@@ -150,6 +150,20 @@ def _descend(e: Expr, i: int) -> Expr:
     return e
 
 
+def subtrees(e: Expr) -> list:
+    """Every subtree of ``e`` in pre-order: ``subtrees(e)[i]`` is
+    ``subtree_at(e, i)``."""
+    out = []
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if type(t) is Node:
+            stack.append(t.right)
+            stack.append(t.left)
+    return out
+
+
 def replace_subtree(e: Expr, i: int, r: Expr) -> Expr:
     """Copy of ``e`` with the subtree at pre-order index ``i`` replaced by ``r``.
 

@@ -11,6 +11,16 @@ revdist) rearranges one subtree.  simplify normalizes a subtree bottom-up to
 a fixpoint, and the identity group (addzero/subzero/multone/divone) inserts
 a neutral element, which is occasionally needed to expose structure for the
 other rules.
+
+Shape preconditions.  SHAPE_PRECONDITIONS maps every primitive to a
+predicate over the subtree at the index, the '=' root included.  Each
+primitive calls its own predicate and raises PrimitiveError when it fails,
+so the rules are written once; a caller holding the subtree (the chain
+search, which lists a state's subtrees once per state) can test the
+predicate and skip a call that would raise.  A predicate states a necessary
+condition only: when it rejects a subtree the primitive raises, but when it
+accepts one the primitive may still raise on a check the predicate leaves
+out, such as dist's shared factor or simplify's zero denominator.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ class PrimitiveError(Exception):
 
 
 _ADDITIVE = ("+", "-")
-_MULTIPLICATIVE = ("*", "/")
+_OP_CLASS = {"+": 0, "-": 0, "*": 1, "/": 1}
 _FLIP = {"+": "-", "-": "+", "*": "/", "/": "*"}
 _ZERO = Const(0)
 _ONE = Const(1)
@@ -47,9 +57,15 @@ def _subtree(e: Equation, i: int) -> Expr:
     return _descend(e, i)
 
 
+def _eq_free(y: Expr) -> bool:
+    """Operand of the arithmetic and identity groups: any subtree but the
+    '=' root."""
+    return type(y) is not Node or y.op != "="
+
+
 def _eq_free_subtree(e: Equation, i: int) -> Expr:
     y = _subtree(e, i)
-    if type(y) is Node and y.op == "=":
+    if not _eq_free(y):
         raise PrimitiveError("operand subtree may not contain '='")
     return y
 
@@ -95,12 +111,20 @@ def new_const_gen(a: int, b: int, c: int) -> int:
 # --- rotations --------------------------------------------------------------
 
 
-def _op_class(op: str):
-    if op in _ADDITIVE:
-        return 0
-    if op in _MULTIPLICATIVE:
-        return 1
-    return None
+def _rrotate_shape(y: Expr) -> bool:
+    """((a o2 b) o1 c) with o1 and o2 from one class."""
+    if type(y) is not Node or type(y.left) is not Node:
+        return False
+    c1 = _OP_CLASS.get(y.op)
+    return c1 is not None and c1 == _OP_CLASS.get(y.left.op)
+
+
+def _lrotate_shape(y: Expr) -> bool:
+    """(a o1 (b o2 c)) with o1 and o2 from one class."""
+    if type(y) is not Node or type(y.right) is not Node:
+        return False
+    c1 = _OP_CLASS.get(y.op)
+    return c1 is not None and c1 == _OP_CLASS.get(y.right.op)
 
 
 def op_rrotate(e: Equation, i: int) -> Equation:
@@ -110,12 +134,9 @@ def op_rrotate(e: Equation, i: int) -> Equation:
     multiplicative) so the rewrite preserves value.
     """
     y = _subtree(e, i)
-    if type(y) is not Node or type(y.left) is not Node:
-        raise PrimitiveError("right rotation needs shape ((a o2 b) o1 c)")
+    if not _rrotate_shape(y):
+        raise PrimitiveError("right rotation needs ((a o2 b) o1 c), o1 and o2 of one class")
     o1, o2 = y.op, y.left.op
-    c1, c2 = _op_class(o1), _op_class(o2)
-    if c1 is None or c1 != c2:
-        raise PrimitiveError("rotation operators must share a class")
     o3 = o1 if o2 in ("+", "*") else _FLIP[o1]
     a, b, c = y.left.left, y.left.right, y.right
     return _replace(e, i, Node(o2, a, Node(o3, b, c)))
@@ -124,21 +145,22 @@ def op_rrotate(e: Equation, i: int) -> Equation:
 def op_lrotate(e: Equation, i: int) -> Equation:
     """(a o1 (b o2 c)) -> ((a o1 b) o3 c); o3 is o2, flipped when o1 inverts."""
     y = _subtree(e, i)
-    if type(y) is not Node or type(y.right) is not Node:
-        raise PrimitiveError("left rotation needs shape (a o1 (b o2 c))")
+    if not _lrotate_shape(y):
+        raise PrimitiveError("left rotation needs (a o1 (b o2 c)), o1 and o2 of one class")
     o1, o2 = y.op, y.right.op
-    c1, c2 = _op_class(o1), _op_class(o2)
-    if c1 is None or c1 != c2:
-        raise PrimitiveError("rotation operators must share a class")
     o3 = o2 if o1 in ("+", "*") else _FLIP[o2]
     a, b, c = y.left, y.right.left, y.right.right
     return _replace(e, i, Node(o3, Node(o1, a, b), c))
 
 
+def _swap_shape(y: Expr) -> bool:
+    return type(y) is Node and y.op in ("+", "*", "=")
+
+
 def op_swap(e: Equation, i: int) -> Equation:
     """Exchange the children of a commutative node ('+', '*' or '=')."""
     y = _subtree(e, i)
-    if type(y) is not Node or y.op not in ("+", "*", "="):
+    if not _swap_shape(y):
         raise PrimitiveError("swap needs a '+', '*' or '=' node")
     return _replace(e, i, Node(y.op, y.right, y.left))
 
@@ -146,13 +168,23 @@ def op_swap(e: Equation, i: int) -> Equation:
 # --- distributivity ----------------------------------------------------------
 
 
-def _as_product(t: Expr):
-    """View a term as a '*' node; a bare x counts as (* 1 x)."""
-    if type(t) is Var:
-        return Node("*", _ONE, t)
-    if type(t) is Node and t.op == "*":
-        return t
-    return None
+def _is_product(t: Expr) -> bool:
+    return type(t) is Var or (type(t) is Node and t.op == "*")
+
+
+def _as_product(t: Expr) -> Node:
+    """View a product as a '*' node; a bare x counts as (* 1 x)."""
+    return Node("*", _ONE, t) if type(t) is Var else t
+
+
+def _dist_shape(y: Expr) -> bool:
+    """A '+' or '-' of two products; the shared factor is checked by dist."""
+    return (
+        type(y) is Node
+        and y.op in _ADDITIVE
+        and _is_product(y.left)
+        and _is_product(y.right)
+    )
 
 
 def op_dist(e: Equation, i: int) -> Equation:
@@ -163,12 +195,10 @@ def op_dist(e: Equation, i: int) -> Equation:
     sides and match syntactically.
     """
     y = _subtree(e, i)
-    if type(y) is not Node or y.op not in _ADDITIVE:
+    if not _dist_shape(y):
         raise PrimitiveError("dist needs a '+' or '-' of two products")
     u = _as_product(y.left)
     v = _as_product(y.right)
-    if u is None or v is None:
-        raise PrimitiveError("dist needs a '+' or '-' of two products")
     if u.right == v.right:
         factored = Node("*", Node(y.op, u.left, v.left), u.right)
     elif u.left == v.left:
@@ -178,18 +208,25 @@ def op_dist(e: Equation, i: int) -> Equation:
     return _replace(e, i, factored)
 
 
+def _is_sum(t: Expr) -> bool:
+    return type(t) is Node and t.op in _ADDITIVE
+
+
+def _revdist_shape(y: Expr) -> bool:
+    """A '*' node with a sum or difference operand."""
+    return type(y) is Node and y.op == "*" and (_is_sum(y.right) or _is_sum(y.left))
+
+
 def op_revdist(e: Equation, i: int) -> Equation:
     """Expand a product over a sum or difference, preserving factor position."""
     y = _subtree(e, i)
-    if type(y) is not Node or y.op != "*":
-        raise PrimitiveError("revdist needs a '*' node")
+    if not _revdist_shape(y):
+        raise PrimitiveError("revdist needs a '*' node with a sum or difference operand")
     f, s = y.left, y.right
-    if type(s) is Node and s.op in _ADDITIVE:
+    if _is_sum(s):
         expanded = Node(s.op, Node("*", f, s.left), Node("*", f, s.right))
-    elif type(f) is Node and f.op in _ADDITIVE:
-        expanded = Node(f.op, Node("*", f.left, s), Node("*", f.right, s))
     else:
-        raise PrimitiveError("revdist needs a sum or difference operand")
+        expanded = Node(f.op, Node("*", f.left, s), Node("*", f.right, s))
     return _replace(e, i, expanded)
 
 
@@ -237,6 +274,10 @@ def _simp(t: Expr) -> Expr:
     if left is t.left and right is t.right:
         return t
     return Node(op, left, right)
+
+
+def _any_subtree(y: Expr) -> bool:
+    return True
 
 
 def op_simplify(e: Equation, i: int) -> Equation:
@@ -292,6 +333,24 @@ EQUATION_PRIMITIVES = {
     "subzero": op_subzero,
     "multone": op_multone,
     "divone": op_divone,
+}
+
+
+SHAPE_PRECONDITIONS = {
+    "add": _eq_free,
+    "sub": _eq_free,
+    "mult": _eq_free,
+    "div": _eq_free,
+    "lrotate": _lrotate_shape,
+    "rrotate": _rrotate_shape,
+    "swap": _swap_shape,
+    "dist": _dist_shape,
+    "revdist": _revdist_shape,
+    "simplify": _any_subtree,
+    "addzero": _eq_free,
+    "subzero": _eq_free,
+    "multone": _eq_free,
+    "divone": _eq_free,
 }
 
 

@@ -15,6 +15,7 @@ seed produce byte-identical checkpoints and curves.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import random
 import zlib
@@ -33,6 +34,9 @@ from .primitives import PrimitiveError
 from .programs import AbsRef, Apply, EvalError, Lambda, VarRef, evaluate, render_program
 
 
+log = logging.getLogger(__name__)
+
+
 class TrainingError(Exception):
     pass
 
@@ -49,7 +53,6 @@ class RunConfig:
     max_arity: int = 2
     alpha: float = 1.0
     probes: int = 2
-    dedup: bool = True
     jobs: int = 1
     out_dir: Optional[str] = None
 
@@ -157,6 +160,13 @@ def _wake(tasks, lib, config: RunConfig):
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_solve_one, jobs))
+    for task_id, _found, stats in results:
+        if stats.get("timed_out"):
+            log.warning(
+                "search for task %s hit the wall timeout after %d expansions",
+                task_id,
+                stats["expansions"],
+            )
     return {task_id: (found, stats) for task_id, found, stats in results}
 
 

@@ -1,4 +1,4 @@
-"""The chain search's rank-bucketed frontier against one plain heap.
+"""The chain search's runs and rank-bucketed frontier against one plain heap.
 
 ``heap_solve`` is the single-heap search loop the frontier replaced, kept
 here as the oracle: it pushes every cursor on one heap keyed
@@ -156,6 +156,25 @@ def test_rank_skipping_cost_cap_matches_single_heap(monkeypatch):
             k=4,
         )
     assert inserted
+
+
+def test_interrupted_runs_match_single_heap(monkeypatch):
+    # under the skewed library, a child or another node's cursor often beats
+    # the next rank of the node being expanded, which then goes back into
+    # the frontier at a rank >= 1: the only way such a cursor is pushed
+    pushed_back = []
+    push = _Frontier.push
+
+    def counting_push(self, cursor):
+        if cursor[2] >= 1:
+            pushed_back.append(cursor[2])
+        push(self, cursor)
+
+    monkeypatch.setattr(_Frontier, "push", counting_push)
+    lib = _skewed_library()
+    for prefix in ("(= (* 5 x) 3)", "(= (- (* 3 x) 2) 7)", "(= (+ x 4) 6)"):
+        _same_search(_task(prefix), lib, SearchBudget(max_expansions=15_000), k=3)
+    assert pushed_back
 
 
 def _float_keys():

@@ -1,4 +1,6 @@
 import json
+import logging
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +10,10 @@ from mathsynth.corpus import (
     load_corpus,
     load_solutions,
     save_checkpoint,
+    save_tasks,
 )
+from mathsynth.enumerator import Task
+from mathsynth.equations import parse_prefix
 from mathsynth.grammar import Library, fit_grammar
 from mathsynth.programs import parse_program
 
@@ -138,6 +143,20 @@ def test_solve_with_trained_library(pipeline, tmp_path, capsys):
     assert rc == 0
     assert "solved 3/3" in capsys.readouterr().out
     assert len(load_solutions(str(out))) == 3
+
+
+def test_solve_warns_when_the_wall_timeout_fires(tmp_path, capsys, caplog):
+    tasks = tmp_path / "hard.jsonl"
+    eq = parse_prefix("(= (+ (* 3 x) (* 4 x)) 9)")
+    save_tasks(str(tasks), [Task("hard/0", "hard", eq, Fraction(9, 7))])
+    with caplog.at_level(logging.WARNING, logger="mathsynth"):
+        rc = main(
+            ["solve", "--tasks", str(tasks), "--budget-expansions", "5000", "--timeout-secs", "0"]
+        )
+    assert rc == 0
+    assert "solved 0/1" in capsys.readouterr().out
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert messages == ["search for task hard/0 hit the wall timeout after 1024 expansions"]
 
 
 def test_score_reports_raw_and_dedup_costs(pipeline, tmp_path, capsys):

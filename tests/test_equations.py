@@ -19,6 +19,7 @@ from mathsynth.equations import (
     render_prefix,
     replace_subtree,
     subtree_at,
+    subtrees,
 )
 
 from conftest import equations, exprs
@@ -136,3 +137,10 @@ def test_parse_errors():
     for bad in ["", "(+ 1", "(= x 4))", "(? 1 2)", "1 + = 2"]:
         with pytest.raises(EquationError):
             (parse_prefix if bad.startswith("(") else parse_equation_infix)(bad)
+
+
+@given(equations())
+def test_subtrees_lists_every_index_in_pre_order(e):
+    table = subtrees(e)
+    assert len(table) == e.size
+    assert all(t is subtree_at(e, i) for i, t in enumerate(table))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mathsynth.equations import eval_at, parse_prefix, subtree_at
 from mathsynth.primitives import (
     EQUATION_PRIMITIVES,
+    SHAPE_PRECONDITIONS,
     PrimitiveError,
     apply_primitive,
     new_const_gen,
@@ -155,6 +156,20 @@ def test_truth_preservation(e, name, i):
         operand = subtree_at(e, i)
         points = [x for x in points if eval_at(operand, x) != 0]
     assert truth_set(e, points) == truth_set(out, points)
+
+
+@given(equations(), st.sampled_from(sorted(EQUATION_PRIMITIVES)), st.data())
+@settings(max_examples=500)
+def test_shape_preconditions_are_necessary(e, name, data):
+    """The chain search skips an action whose subtree a predicate rejects,
+    so a rejected subtree must make the primitive raise.  Indices past the
+    last subtree have no subtree to test; the primitive raises on them."""
+    assert set(SHAPE_PRECONDITIONS) == set(EQUATION_PRIMITIVES)
+    i = data.draw(st.integers(0, e.size + 1))
+    if i < e.size and SHAPE_PRECONDITIONS[name](subtree_at(e, i)):
+        return
+    with pytest.raises(PrimitiveError):
+        apply_primitive(name, e, i)
 
 
 def test_swap_twice_is_identity():

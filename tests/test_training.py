@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 from fractions import Fraction
 
@@ -8,22 +9,26 @@ from hypothesis import strategies as st
 
 from conftest import equations
 from mathsynth.corpus import load_checkpoint, make_task
-from mathsynth.enumerator import SearchBudget, Task
+from mathsynth.enumerator import SearchBudget, Task, solve_task_with_stats
 from mathsynth.equations import check_solved, parse_prefix
 from mathsynth.grammar import Library, fit_grammar
+from mathsynth.primitives import apply_primitive
 from mathsynth.programs import (
     TINT,
     AbsRef,
     Abstraction,
     Apply,
     EvalError,
+    IntLit,
     Lambda,
+    Prim,
     VarRef,
     _Machine,
     apply_abstraction,
     evaluate,
     is_arrow,
     parse_program,
+    render_program,
 )
 from mathsynth.training import (
     FRONTIER_CAP,
@@ -32,6 +37,7 @@ from mathsynth.training import (
     _dedup_frontier,
     _eta_reduce,
     _passes_probes,
+    _wake,
     evaluate_tasks,
     run_training_loop,
 )
@@ -275,3 +281,65 @@ def test_compiled_abstractions_match_the_interpreter(mini_run, eq, lits):
         assert _outcome(lambda: apply_abstraction(a, args)) == _outcome(
             lambda: _interpreted(a, args)
         ), (a, args)
+
+
+def _chain_steps(program):
+    """The (head, literal arguments) steps of a chain program, first step
+    first: (lambda (h2 (h1 $0 a) b c)) gives [(h1, (a,)), (h2, (b, c))]."""
+    steps = []
+    body = program.body
+    while type(body) is not VarRef:
+        lits = []
+        while type(body.arg) is IntLit:
+            lits.append(body.arg.value)
+            body = body.fn
+        steps.append((body.fn, tuple(reversed(lits))))
+        body = body.arg
+    return steps[::-1]
+
+
+def test_found_programs_replay_step_by_step(mini_run):
+    """Every program the chain search returns, stepped through one action
+    at a time, reaches the state evaluate reaches, and that state shows
+    the goal."""
+    result, _ = mini_run
+    train, test, _, _ = seeded_setup()
+    tasks = train + test + [
+        Task("pinned/0", "pinned", parse_prefix("(= x (/ 6 2))"), Fraction(3)),
+        Task("pinned/1", "pinned", parse_prefix("(= (+ x 0) (* 2 3))"), Fraction(6)),
+    ]
+    budget = SearchBudget(max_expansions=20_000)
+    chains = {}
+    for name, lib in (("initial", Library.initial()), ("learned", result.library)):
+        chains[name] = []
+        for task in tasks:
+            found, _ = solve_task_with_stats(task, lib, budget, k=3)
+            for program, _logp in found:
+                steps = _chain_steps(program)
+                eq = task.input
+                for head, lits in steps:
+                    if type(head) is Prim:
+                        eq = apply_primitive(head.name, eq, *lits)
+                    else:
+                        eq = apply_abstraction(head.abstraction, (eq,) + lits)
+                assert eq == evaluate(program, task.input)[0], render_program(program)
+                assert check_solved(eq) == task.goal, render_program(program)
+                chains[name].append(steps)
+    assert len(chains["initial"]) >= 4 and max(map(len, chains["initial"])) >= 2
+    learned_steps = [head for steps in chains["learned"] for head, _ in steps]
+    assert len(chains["learned"]) >= 10 and any(type(h) is AbsRef for h in learned_steps)
+
+
+def test_a_wall_timeout_that_fires_is_flagged_and_logged(caplog):
+    task = Task("hard/0", "hard", parse_prefix("(= (+ (* 3 x) (* 4 x)) 9)"), Fraction(9, 7))
+    budget = SearchBudget(max_expansions=5_000, wall_timeout=0.0)
+    _, stats = solve_task_with_stats(task, Library.initial(), budget)
+    # the clock is read every 1024 expansions, so a zero timeout stops there
+    assert stats["expansions"] == 1024 and stats["timed_out"] is True
+    _, untimed = solve_task_with_stats(task, Library.initial(), SearchBudget(max_expansions=2_000))
+    assert untimed["expansions"] == 2_000 and "timed_out" not in untimed
+    with caplog.at_level(logging.WARNING, logger="mathsynth"):
+        wake = _wake([task], Library.initial(), RunConfig(budget=budget))
+    assert wake[task.id][1]["timed_out"] is True
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "hard/0" in caplog.records[0].getMessage()
