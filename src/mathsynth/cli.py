@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .enumerator import SearchBudget, solve_task_with_stats
 from .equations import EquationError, render_infix
-from .grammar import Library
+from .grammar import GrammarError, Library
 from .metric import (
     MetricError,
     PROGRAM_TRACE,
@@ -48,6 +48,7 @@ _ERRORS = (
     CompressionError,
     CorpusError,
     EquationError,
+    GrammarError,
     MetricError,
     PrimitiveError,
     ProgramError,

@@ -255,6 +255,8 @@ def load_corpus(path: str) -> list:
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise CorpusError(f"{path}:{lineno}: bad task record: not a JSON object")
                 eq = parse_prefix(rec["equation"])
                 goal = Fraction(rec["goal"])
                 task = Task(rec["id"], rec["template_id"], eq, goal)

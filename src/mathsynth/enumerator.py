@@ -26,7 +26,7 @@ expansion, whether the action applies, fails its precondition, or is
 skipped because its index lies outside the equation or the subtree there
 fails the primitive's shape precondition; max_expansions and patience
 count these.  The keys never repeat, so the expansion order is fully
-determined by them, whatever structure stores the cursors (see _Frontier).
+determined by them; the frontier is one heap of cursors.
 
 A popped node is expanded in a run: it keeps the floor, rank after rank,
 while its next cursor's key is smaller than every key in the frontier, the
@@ -38,20 +38,26 @@ the cursors a pop per expansion would, in the same order.  For the length
 of a run the search holds the state's subtrees in a pre-order table, which
 lets it skip a primitive without calling it (see
 primitives.SHAPE_PRECONDITIONS); the table is dropped when the run ends.
+
+Duplicate states are found by identity.  A search opens an equation intern
+table for its length (equations.open_table) and interns the task's input,
+so every state it builds is made of interned nodes: a state reached again
+is the very object stored among the visited states, and the lookup hits
+without comparing trees node by node.  The table is closed when the search
+returns or raises, so it never outlives one search, and each --jobs worker
+has its own.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
-from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional
 
-from .equations import Equation, check_solved, subtrees
+from .equations import Equation, check_solved, close_table, intern, open_table, subtrees
 from .grammar import CTX_TINT, CTX_TINT_INNER, CTX_TSTR, Library
 from .primitives import SHAPE_PRECONDITIONS, PrimitiveError, apply_primitive
 from .programs import (
@@ -172,7 +178,7 @@ def enumerate_programs(
     heap = [(-sum(bounds[h] for h in holes), _render_partial(root), next(seq), root, holes, 0.0)]
     expansions = 0
     while heap:
-        neg_priority, _, _, term, open_holes, logp = heapq.heappop(heap)
+        neg_priority, _, _, term, open_holes, logp = heappop(heap)
         if not open_holes:
             yield term, logp
             continue
@@ -193,7 +199,7 @@ def enumerate_programs(
                 continue
             child_logp = logp + c.log_prob
             priority = child_logp + sum(bounds[h] for h in child_holes)
-            heapq.heappush(
+            heappush(
                 heap,
                 (-priority, _render_partial(child), next(seq), child, child_holes, child_logp),
             )
@@ -255,72 +261,6 @@ class _ChainNode:
         self.seq = seq
 
 
-class _Frontier:
-    """The chain search's cursors, popped in key order.
-
-    A cursor is a tuple ``(neg_logp, seq, rank, node)`` whose first three
-    fields are its key; keys must be distinct, which holds when seq names a
-    node and every node has one cursor.  Rank-0 cursors, those of new nodes,
-    sit in a heap.  A cursor moved on to rank r >= 1 is appended to the
-    deque of rank r.  Only expansions at lower ranks feed that deque, so
-    arrivals nearly always come in key order; one that does not (a float
-    near-tie between two nodes, or a cursor that skipped ranks under
-    max_program_cost) is inserted in its place, so every deque stays sorted.
-    A second heap holds the head of each non-empty deque, at most one entry
-    per rank.  A pop takes the smaller of the two heap tops: the cursor that
-    one heap of all cursors would pop, at the price of heap operations on a
-    few hundred entries instead of on every node.
-    """
-
-    __slots__ = ("_new", "_ranks", "_heads")
-
-    def __init__(self, n_ranks: int):
-        self._new = []
-        self._ranks = [deque() for _ in range(n_ranks)]
-        self._heads = []
-
-    def __bool__(self):
-        return bool(self._new or self._heads)
-
-    def push(self, cursor: tuple) -> None:
-        rank = cursor[2]
-        if rank == 0:
-            heapq.heappush(self._new, cursor)
-            return
-        q = self._ranks[rank]
-        if not q:
-            q.append(cursor)
-            heapq.heappush(self._heads, cursor)
-        elif cursor > q[-1]:
-            q.append(cursor)
-        else:
-            insort(q, cursor)
-            if q[0] is cursor:
-                heads = self._heads
-                heads[next(i for i, h in enumerate(heads) if h[2] == rank)] = cursor
-                heapq.heapify(heads)
-
-    def peek(self) -> Optional[tuple]:
-        """The cursor pop would return, left in place; None when empty."""
-        new, heads = self._new, self._heads
-        if heads and (not new or heads[0] < new[0]):
-            return heads[0]
-        return new[0] if new else None
-
-    def pop(self) -> tuple:
-        """Remove and return the cursor with the smallest key."""
-        new, heads = self._new, self._heads
-        if heads and (not new or heads[0] < new[0]):
-            q = self._ranks[heads[0][2]]
-            cursor = q.popleft()
-            if q:
-                heapq.heapreplace(heads, q[0])
-            else:
-                heapq.heappop(heads)
-            return cursor
-        return heapq.heappop(new)
-
-
 def _rebuild_program(node: _ChainNode) -> Term:
     steps = []
     while node.action is not None:
@@ -348,22 +288,31 @@ def solve_task_with_stats(
     wake-phase throughput and keeps runs deterministic (the cutoff counts
     expansions, not time).
     """
+    previous = open_table()
+    try:
+        return _chain_search(task, lib, budget, k, patience)
+    finally:
+        close_table(previous)
+
+
+def _chain_search(task, lib, budget, k, patience):
     actions = _chain_actions(lib)
     var_logp = next(c.log_prob for c in lib.candidates(CTX_TSTR) if c.kind == "var")
     found: list[tuple[Term, float]] = []
     cutoff = budget.max_expansions
     max_cost = budget.max_program_cost
 
-    root = _ChainNode(task.input, var_logp, 101, None, None, 0)
-    if check_solved(task.input) == task.goal:
+    root_eq = intern(task.input)
+    root = _ChainNode(root_eq, var_logp, 101, None, None, 0)
+    if check_solved(root_eq) == task.goal:
         found.append((Lambda(VarRef(0)), var_logp))
         if patience is not None:
             cutoff = min(cutoff, patience)
 
-    visited = {task.input: True}
+    visited = {root_eq: True}
     n_actions = len(actions)
-    frontier = _Frontier(n_actions)
-    push = frontier.push
+    frontier = []  # a heap of cursors
+    push = heappush
 
     def first_cursor(node: _ChainNode) -> Optional[tuple]:
         rank = 0
@@ -376,7 +325,7 @@ def solve_task_with_stats(
 
     cursor = first_cursor(root)
     if cursor is not None:
-        push(cursor)
+        push(frontier, cursor)
     expansions = 0
     nodes_made = 0
     timed_out = False
@@ -388,11 +337,11 @@ def solve_task_with_stats(
             timed_out = True
             break
         if node is None:
-            _, seq, rank, node = frontier.pop()
+            _, seq, rank, node = heappop(frontier)
             eq, logp, cost = node.eq, node.logp, node.cost
             table = subtrees(eq)
             n_nodes = len(table)
-            top = frontier.peek()  # from here on, only children join the frontier
+            top = frontier[0] if frontier else None  # from here on, only children join
         action = actions[rank]
         child_eq = None
         try:
@@ -418,7 +367,7 @@ def solve_task_with_stats(
                     cutoff = min(cutoff, expansions + patience)
             cursor = first_cursor(child)
             if cursor is not None:
-                push(cursor)
+                push(frontier, cursor)
                 if top is None or cursor < top:
                     top = cursor
         rank += 1
@@ -429,7 +378,7 @@ def solve_task_with_stats(
         elif top is not None:
             cursor = (-(logp + actions[rank].log_prob), seq, rank, node)
             if top < cursor:
-                push(cursor)
+                push(frontier, cursor)
                 node = None
 
     stats = {

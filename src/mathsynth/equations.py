@@ -6,6 +6,15 @@ the single variable ``x``.  The ``=`` operator appears exactly once, at the
 root (the Node constructor rejects nested ``=``).  Rewrites never mutate a
 tree; they build a new one that shares untouched subtrees.
 
+Within a search, equal trees are one object.  The chain search opens an
+intern table for its length (open_table / close_table); while it is open,
+the trusted constructor _node, used by _splice and by every primitive,
+returns the existing node for an operator and two child objects it has seen
+before, and _const does the same for a constant.  A state the search
+reaches again is then put together from nodes that already exist, and its
+lookup among the visited states is an identity hit.  Equality stays
+structural, for trees built outside a search.
+
 Two text codecs are provided.  The prefix codec is the canonical wire format:
 fully parenthesized, whitespace separated, e.g. ``(= (+ (* 2 x) 1) 7)``.
 The infix codec accepts human-style strings such as ``2x + 1 = 7`` and
@@ -71,6 +80,8 @@ class Var:
 
 
 X = Var()
+ZERO = Const(0)
+ONE = Const(1)
 
 
 class Node:
@@ -112,6 +123,84 @@ class Node:
 
 Expr = Union[Const, Var, Node]
 Equation = Node  # an "="-rooted Node
+
+
+# --- interning ------------------------------------------------------------
+
+# The open intern table: node hash -> Node, and value -> Const; both None
+# when no table is open.  A node's hash is its key, so the table adds no key
+# object per node.  Hashes do collide, for one because hash(-1) ==
+# hash(-2), so a node whose hash another node holds is keyed by its operator
+# and the identities of its children instead; the table holds every node it
+# names, so no id in such a key is reused while it is open.
+_nodes: Optional[dict] = None
+_consts: Optional[dict] = None
+
+
+def open_table() -> tuple:
+    """Open a fresh intern table; returns the one it replaces, for
+    close_table."""
+    global _nodes, _consts
+    previous = (_nodes, _consts)
+    _nodes, _consts = {}, {0: ZERO, 1: ONE}
+    return previous
+
+
+def close_table(previous: tuple) -> None:
+    global _nodes, _consts
+    _nodes, _consts = previous
+
+
+def _node(op: str, left: Expr, right: Expr) -> Node:
+    """Node(op, left, right) without its checks, for an operator from OPS
+    and children that keep '=' at the root only.  While a table is open it
+    returns the node already built from op and these two child objects, if
+    any."""
+    h = hash((op, left._hash, right._hash))
+    table = _nodes
+    if table is not None:
+        key = h
+        n = table.get(key)
+        if n is not None:
+            if n.left is left and n.right is right and n.op == op:
+                return n
+            key = (op, id(left), id(right))
+            n = table.get(key)
+            if n is not None:
+                return n
+    n = object.__new__(Node)
+    n.op = op
+    n.left = left
+    n.right = right
+    n.size = 1 + left.size + right.size
+    n.has_var = left.has_var or right.has_var
+    n._hash = h
+    if table is not None:
+        table[key] = n
+    return n
+
+
+def _const(value: int) -> Const:
+    """Const(value); the interned one when a table is open."""
+    table = _consts
+    if table is None:
+        return Const(value)
+    c = table.get(value)
+    if c is None:
+        c = table[value] = Const(value)
+    return c
+
+
+def intern(e: Expr) -> Expr:
+    """The tree equal to ``e`` built from the open table's nodes; ``e``
+    itself when no table is open."""
+    if _nodes is None:
+        return e
+    if type(e) is Const:
+        return _const(e.value)
+    if type(e) is Var:
+        return X
+    return _node(e.op, intern(e.left), intern(e.right))
 
 
 def equation(left: Expr, right: Expr) -> Equation:
@@ -189,8 +278,8 @@ def _splice(t: Expr, i: int, r: Expr) -> Expr:
         return r
     left = t.left
     if i <= left.size:
-        return Node(t.op, _splice(left, i - 1, r), t.right)
-    return Node(t.op, left, _splice(t.right, i - 1 - left.size, r))
+        return _node(t.op, _splice(left, i - 1, r), t.right)
+    return _node(t.op, left, _splice(t.right, i - 1 - left.size, r))
 
 
 def eval_at(e: Expr, x) -> Fraction:

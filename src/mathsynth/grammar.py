@@ -246,8 +246,13 @@ class Library:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Library":
+        """Inverse of to_dict; GrammarError for anything else."""
+        _check_fields(d, "checkpoint", _CHECKPOINT_FIELDS)
         lib = cls([], var_log_weight=d["var_log_weight"], iteration=d["iteration"])
         for pd in d["productions"]:
+            _check_fields(pd, "checkpoint production", _PRODUCTION_FIELDS)
+            if pd["kind"] not in ("primitive", "abstraction"):
+                raise GrammarError(f"unknown production kind {pd['kind']!r} in checkpoint")
             if pd["kind"] == "primitive":
                 if pd["name"] not in PRIM_TYPES:
                     raise GrammarError(f"unknown primitive {pd['name']!r} in checkpoint")
@@ -255,6 +260,7 @@ class Library:
                     Production(pd["name"], PRIM_TYPES[pd["name"]], pd["log_weight"])
                 )
             else:
+                _check_fields(pd, "checkpoint abstraction", _ABSTRACTION_FIELDS)
                 body = parse_program(pd["body"], lib)
                 a = Abstraction(body, name=pd["name"],
                                 origin_iteration=pd.get("origin_iteration", 0))
@@ -267,6 +273,26 @@ class Library:
                     f"inferred {render_type(p.type)}"
                 )
         return lib
+
+
+_NUMBER = (int, float)
+_CHECKPOINT_FIELDS = {"var_log_weight": _NUMBER, "iteration": int, "productions": list}
+_PRODUCTION_FIELDS = {"kind": str, "name": str, "type": str, "log_weight": _NUMBER}
+_ABSTRACTION_FIELDS = {"body": str}
+
+
+def _check_fields(d, what: str, fields: dict) -> None:
+    """GrammarError unless ``d`` is a dict holding every field with a value
+    of its type."""
+    if not isinstance(d, dict):
+        raise GrammarError(f"{what} must be a JSON object, not {type(d).__name__}")
+    for key, types in fields.items():
+        if key not in d:
+            raise GrammarError(f"{what} lacks the field {key!r}")
+        if not isinstance(d[key], types):
+            raise GrammarError(
+                f"{what} field {key!r} has a value of type {type(d[key]).__name__}"
+            )
 
 
 def production_counts(programs: Iterable[Term]) -> tuple[dict, int]:

@@ -28,12 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .equations import (
+    ONE,
+    ZERO,
     Const,
     Equation,
     Expr,
     Node,
     Var,
+    _const,
     _descend,
+    _node,
     _splice,
 )
 
@@ -45,8 +49,6 @@ class PrimitiveError(Exception):
 _ADDITIVE = ("+", "-")
 _OP_CLASS = {"+": 0, "-": 0, "*": 1, "/": 1}
 _FLIP = {"+": "-", "-": "+", "*": "/", "/": "*"}
-_ZERO = Const(0)
-_ONE = Const(1)
 
 
 def _subtree(e: Equation, i: int) -> Expr:
@@ -83,7 +85,7 @@ def _replace(e: Equation, i: int, r: Expr) -> Equation:
 
 def _apply_both_sides(op: str, e: Equation, i: int) -> Equation:
     y = _eq_free_subtree(e, i)
-    return Node("=", Node(op, e.left, y), Node(op, e.right, y))
+    return _node("=", _node(op, e.left, y), _node(op, e.right, y))
 
 
 def op_add(e: Equation, i: int) -> Equation:
@@ -139,7 +141,7 @@ def op_rrotate(e: Equation, i: int) -> Equation:
     o1, o2 = y.op, y.left.op
     o3 = o1 if o2 in ("+", "*") else _FLIP[o1]
     a, b, c = y.left.left, y.left.right, y.right
-    return _replace(e, i, Node(o2, a, Node(o3, b, c)))
+    return _replace(e, i, _node(o2, a, _node(o3, b, c)))
 
 
 def op_lrotate(e: Equation, i: int) -> Equation:
@@ -150,7 +152,7 @@ def op_lrotate(e: Equation, i: int) -> Equation:
     o1, o2 = y.op, y.right.op
     o3 = o2 if o1 in ("+", "*") else _FLIP[o2]
     a, b, c = y.left, y.right.left, y.right.right
-    return _replace(e, i, Node(o3, Node(o1, a, b), c))
+    return _replace(e, i, _node(o3, _node(o1, a, b), c))
 
 
 def _swap_shape(y: Expr) -> bool:
@@ -162,7 +164,7 @@ def op_swap(e: Equation, i: int) -> Equation:
     y = _subtree(e, i)
     if not _swap_shape(y):
         raise PrimitiveError("swap needs a '+', '*' or '=' node")
-    return _replace(e, i, Node(y.op, y.right, y.left))
+    return _replace(e, i, _node(y.op, y.right, y.left))
 
 
 # --- distributivity ----------------------------------------------------------
@@ -174,7 +176,7 @@ def _is_product(t: Expr) -> bool:
 
 def _as_product(t: Expr) -> Node:
     """View a product as a '*' node; a bare x counts as (* 1 x)."""
-    return Node("*", _ONE, t) if type(t) is Var else t
+    return _node("*", ONE, t) if type(t) is Var else t
 
 
 def _dist_shape(y: Expr) -> bool:
@@ -200,9 +202,9 @@ def op_dist(e: Equation, i: int) -> Equation:
     u = _as_product(y.left)
     v = _as_product(y.right)
     if u.right == v.right:
-        factored = Node("*", Node(y.op, u.left, v.left), u.right)
+        factored = _node("*", _node(y.op, u.left, v.left), u.right)
     elif u.left == v.left:
-        factored = Node("*", u.left, Node(y.op, u.right, v.right))
+        factored = _node("*", u.left, _node(y.op, u.right, v.right))
     else:
         raise PrimitiveError("no shared factor in matching position")
     return _replace(e, i, factored)
@@ -224,9 +226,9 @@ def op_revdist(e: Equation, i: int) -> Equation:
         raise PrimitiveError("revdist needs a '*' node with a sum or difference operand")
     f, s = y.left, y.right
     if _is_sum(s):
-        expanded = Node(s.op, Node("*", f, s.left), Node("*", f, s.right))
+        expanded = _node(s.op, _node("*", f, s.left), _node("*", f, s.right))
     else:
-        expanded = Node(f.op, Node("*", f.left, s), Node("*", f.right, s))
+        expanded = _node(f.op, _node("*", f.left, s), _node("*", f.right, s))
     return _replace(e, i, expanded)
 
 
@@ -235,17 +237,17 @@ def op_revdist(e: Equation, i: int) -> Equation:
 
 def _fold(op: str, a: int, b: int) -> Expr:
     if op == "+":
-        return Const(a + b)
+        return _const(a + b)
     if op == "-":
-        return Const(a - b)
+        return _const(a - b)
     if op == "*":
-        return Const(a * b)
+        return _const(a * b)
     if b == 0:
         raise PrimitiveError("zero denominator while folding constants")
     q = Fraction(a, b)
     if q.denominator == 1:
-        return Const(q.numerator)
-    return Node("/", Const(q.numerator), Const(q.denominator))
+        return _const(q.numerator)
+    return _node("/", _const(q.numerator), _const(q.denominator))
 
 
 def _simp(t: Expr) -> Expr:
@@ -266,14 +268,14 @@ def _simp(t: Expr) -> Expr:
             if rv == 1 and op in ("*", "/"):
                 return left
             if rv == 0 and op == "*":
-                return _ZERO
+                return ZERO
         if op == "-" and left == right:
-            return _ZERO
+            return ZERO
         if op == "/" and left == right and left.has_var:
-            return _ONE
+            return ONE
     if left is t.left and right is t.right:
         return t
-    return Node(op, left, right)
+    return _node(op, left, right)
 
 
 def _any_subtree(y: Expr) -> bool:
@@ -300,22 +302,22 @@ def op_simplify(e: Equation, i: int) -> Equation:
 
 def op_addzero(e: Equation, i: int) -> Equation:
     """y -> (+ y 0)."""
-    return _replace(e, i, Node("+", _eq_free_subtree(e, i), _ZERO))
+    return _replace(e, i, _node("+", _eq_free_subtree(e, i), ZERO))
 
 
 def op_subzero(e: Equation, i: int) -> Equation:
     """y -> (- y 0)."""
-    return _replace(e, i, Node("-", _eq_free_subtree(e, i), _ZERO))
+    return _replace(e, i, _node("-", _eq_free_subtree(e, i), ZERO))
 
 
 def op_multone(e: Equation, i: int) -> Equation:
     """y -> (* y 1)."""
-    return _replace(e, i, Node("*", _eq_free_subtree(e, i), _ONE))
+    return _replace(e, i, _node("*", _eq_free_subtree(e, i), ONE))
 
 
 def op_divone(e: Equation, i: int) -> Equation:
     """y -> (/ y 1)."""
-    return _replace(e, i, Node("/", _eq_free_subtree(e, i), _ONE))
+    return _replace(e, i, _node("/", _eq_free_subtree(e, i), ONE))
 
 
 EQUATION_PRIMITIVES = {

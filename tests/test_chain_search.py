@@ -1,25 +1,23 @@
-"""The chain search's runs and rank-bucketed frontier against one plain heap.
+"""The chain search's runs, shape skips and interned states against one
+plain heap loop.
 
-``heap_solve`` is the single-heap search loop the frontier replaced, kept
+``heap_solve`` is the search loop without runs, skips or interning, kept
 here as the oracle: it pushes every cursor on one heap keyed
 ``(-(logp + a_r), seq, r)`` and applies every action it pops.
 """
 
-import bisect
 import heapq
-import math
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
 import mathsynth.enumerator
+import mathsynth.equations
 from mathsynth.corpus import GoalOracle
 from mathsynth.enumerator import (
     SearchBudget,
     Task,
     _chain_actions,
     _ChainNode,
-    _Frontier,
     _rebuild_program,
     solve_task_with_stats,
 )
@@ -138,15 +136,19 @@ def test_skewed_library_matches_single_heap():
 
 def test_rank_skipping_cost_cap_matches_single_heap(monkeypatch):
     # a node that can afford only the arity-1 abstraction (step cost 101, not
-    # 202 or 303) skips the 44 ranks before it, and lands in that rank's
-    # queue out of key order when a better node reaches the rank later
-    inserted = []
+    # 202 or 303) skips the 44 ranks before it: its first cursor is pushed at
+    # a rank >= 1
+    seen = set()
+    skipped = []
+    push = mathsynth.enumerator.heappush
 
-    def counting_insort(q, entry):
-        inserted.append(entry)
-        bisect.insort(q, entry)
+    def counting_push(frontier, cursor):
+        if cursor[1] not in seen and cursor[2] >= 1:
+            skipped.append(cursor[2])
+        seen.add(cursor[1])
+        push(frontier, cursor)
 
-    monkeypatch.setattr(mathsynth.enumerator, "insort", counting_insort)
+    monkeypatch.setattr(mathsynth.enumerator, "heappush", counting_push)
     lib = _skewed_library()
     for cap in (505, 606, 808):
         _same_search(
@@ -155,7 +157,7 @@ def test_rank_skipping_cost_cap_matches_single_heap(monkeypatch):
             SearchBudget(max_expansions=20_000, max_program_cost=cap),
             k=4,
         )
-    assert inserted
+    assert skipped
 
 
 def test_interrupted_runs_match_single_heap(monkeypatch):
@@ -163,59 +165,30 @@ def test_interrupted_runs_match_single_heap(monkeypatch):
     # the next rank of the node being expanded, which then goes back into
     # the frontier at a rank >= 1: the only way such a cursor is pushed
     pushed_back = []
-    push = _Frontier.push
+    push = mathsynth.enumerator.heappush
 
-    def counting_push(self, cursor):
+    def counting_push(frontier, cursor):
         if cursor[2] >= 1:
             pushed_back.append(cursor[2])
-        push(self, cursor)
+        push(frontier, cursor)
 
-    monkeypatch.setattr(_Frontier, "push", counting_push)
+    monkeypatch.setattr(mathsynth.enumerator, "heappush", counting_push)
     lib = _skewed_library()
     for prefix in ("(= (* 5 x) 3)", "(= (- (* 3 x) 2) 7)", "(= (+ x 4) 6)"):
         _same_search(_task(prefix), lib, SearchBudget(max_expansions=15_000), k=3)
     assert pushed_back
 
 
-def _float_keys():
-    base = st.sampled_from([1.0, 2.5, 7.25, 1e-3])
-    return st.builds(
-        lambda b, ulps: b if ulps == 0 else (
-            math.nextafter(b, math.inf) if ulps > 0 else math.nextafter(b, -math.inf)
-        ),
-        base,
-        st.integers(-1, 1),
-    )
+def test_intern_table_closes_when_a_search_returns_or_raises(monkeypatch):
+    task = _task("(= (+ x 4) 6)")
+    budget = SearchBudget(max_expansions=2_000)
+    solve_task_with_stats(task, Library.initial(), budget, k=1)
+    assert mathsynth.equations._nodes is None
 
+    def broken(name, e, i):
+        raise RuntimeError("broken primitive")
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.tuples(st.just("push"), _float_keys(), st.integers(0, 40), st.integers(0, 5)),
-            st.just(("pop",)),
-        ),
-        max_size=80,
-    )
-)
-def test_frontier_pops_in_heap_order(ops):
-    """Any mix of pushes and pops, with equal, 1-ulp-apart and out-of-order
-    keys at every rank, pops what one heap pops."""
-    frontier = _Frontier(6)
-    heap = []
-    used = set()
-    for op in ops:
-        if op[0] == "push":
-            _, neg_logp, seq, rank = op
-            if seq in used:  # a seq names one node, which has one cursor
-                continue
-            used.add(seq)
-            cursor = (neg_logp, seq, rank, f"node{seq}")
-            frontier.push(cursor)
-            heapq.heappush(heap, cursor)
-        elif heap:
-            assert frontier.pop() == heapq.heappop(heap)
-        assert bool(frontier) == bool(heap)
-    while heap:
-        assert frontier.pop() == heapq.heappop(heap)
-    assert not frontier
+    monkeypatch.setattr(mathsynth.enumerator, "apply_primitive", broken)
+    with pytest.raises(RuntimeError, match="broken primitive"):
+        solve_task_with_stats(task, Library.initial(), budget, k=1)
+    assert mathsynth.equations._nodes is None

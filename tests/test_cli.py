@@ -241,3 +241,33 @@ def test_missing_input_file_exits_nonzero(tmp_path, capsys):
     rc = main(["solve", "--tasks", str(tmp_path / "absent.jsonl")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+_UNKNOWN_PRIMITIVE = {
+    "iteration": 0,
+    "var_log_weight": 0.0,
+    "productions": [
+        {"kind": "primitive", "name": "teleport", "type": "tstr -> tint -> tstr",
+         "log_weight": 0.0}
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "checkpoint", [{}, [], None, _UNKNOWN_PRIMITIVE], ids=["empty", "list", "null", "unknown"]
+)
+def test_malformed_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys, checkpoint):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(checkpoint))
+    rc = main(["library", "--checkpoint", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_task_line_that_is_not_an_object_is_an_error(tmp_path, capsys):
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("[1, 2]\n")
+    rc = main(["solve", "--tasks", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}:1:" in err

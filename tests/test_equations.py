@@ -5,14 +5,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mathsynth.equations import (
+    ONE,
     Const,
     EquationError,
     Node,
     X,
+    _node,
+    _splice,
     check_solved,
+    close_table,
     equation,
     eval_at,
+    intern,
     node_count,
+    open_table,
     parse_equation_infix,
     parse_prefix,
     render_infix,
@@ -144,3 +150,52 @@ def test_subtrees_lists_every_index_in_pre_order(e):
     table = subtrees(e)
     assert len(table) == e.size
     assert all(t is subtree_at(e, i) for i, t in enumerate(table))
+
+
+def test_equal_trees_built_twice_in_one_table_are_one_object():
+    previous = open_table()
+    try:
+        a = intern(parse_prefix("(= (+ (* 2 x) 1) 7)"))
+        assert intern(parse_prefix("(= (+ (* 2 x) 1) 7)")) is a
+        assert intern(a) is a
+        assert intern(Const(1)) is ONE
+        three = intern(Const(3))
+        # (= (+ (* 3 x) 1) 7), spliced twice from interned parts
+        assert _splice(a, 2, three) is _splice(a, 2, three)
+        assert _node("+", a.left.left, ONE) is a.left
+    finally:
+        close_table(previous)
+
+
+def test_without_a_table_equal_trees_stay_distinct_objects():
+    e = parse_prefix("(= (+ (* 2 x) 1) 7)")
+    assert intern(e) is e
+    a, b = _node("+", X, ONE), _node("+", X, ONE)
+    assert a is not b and a == b and hash(a) == hash(Node("+", X, Const(1)))
+
+
+def test_nodes_whose_hashes_collide_are_each_interned():
+    previous = open_table()
+    try:
+        # hash(-1) == hash(-2), so these two trees share a hash
+        a = intern(parse_prefix("(- x -1)"))
+        b = intern(parse_prefix("(- x -2)"))
+        assert hash(a) == hash(b) and a != b
+        assert intern(parse_prefix("(- x -1)")) is a
+        assert intern(parse_prefix("(- x -2)")) is b
+    finally:
+        close_table(previous)
+
+
+def test_close_table_restores_the_table_it_replaced():
+    outer = open_table()
+    try:
+        e = intern(parse_prefix("(= x 2)"))
+        inner = open_table()
+        try:
+            assert intern(parse_prefix("(= x 2)")) is not e
+        finally:
+            close_table(inner)
+        assert intern(parse_prefix("(= x 2)")) is e
+    finally:
+        close_table(outer)

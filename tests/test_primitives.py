@@ -9,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathsynth.equations import eval_at, parse_prefix, subtree_at
+from mathsynth.equations import (
+    Const,
+    Node,
+    X,
+    close_table,
+    eval_at,
+    intern,
+    open_table,
+    parse_prefix,
+    subtree_at,
+    subtrees,
+)
 from mathsynth.primitives import (
     EQUATION_PRIMITIVES,
     SHAPE_PRECONDITIONS,
@@ -170,6 +181,67 @@ def test_shape_preconditions_are_necessary(e, name, data):
         return
     with pytest.raises(PrimitiveError):
         apply_primitive(name, e, i)
+
+
+def _rebuilt(e):
+    """``e`` built again through the validating constructors, which reject a
+    nested '='."""
+    if type(e) is Node:
+        return Node(e.op, _rebuilt(e.left), _rebuilt(e.right))
+    return Const(e.value) if type(e) is Const else X
+
+
+def _apply_or_none(name, e, i):
+    try:
+        return apply_primitive(name, e, i)
+    except PrimitiveError:
+        return None
+
+
+def _check_interned(e, name, i):
+    plain = _apply_or_none(name, e, i)
+    previous = open_table()
+    try:
+        got = _apply_or_none(name, intern(e), i)
+        if got is not None:
+            assert intern(plain) is got
+            assert _apply_or_none(name, intern(e), i) is got
+    finally:
+        close_table(previous)
+    assert (got is None) == (plain is None)
+    if got is None:
+        return
+    assert got == plain and hash(got) == hash(plain)
+    for a, b in zip(subtrees(got), subtrees(plain), strict=True):
+        assert (a.size, a.has_var, hash(a)) == (b.size, b.has_var, hash(b))
+    assert _rebuilt(got) == plain
+
+
+@given(equations(), st.sampled_from(sorted(EQUATION_PRIMITIVES)), st.data())
+@settings(max_examples=500)
+def test_interned_outputs_equal_plain_ones(e, name, data):
+    """With an intern table open, as during a search, every primitive builds
+    the tree it builds without one, from interned nodes only."""
+    _check_interned(e, name, data.draw(st.integers(0, e.size + 1)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(= (+ (* 2 3) (- 4 6)) (/ (+ x 0) (* 2 x)))",
+        "(= (* (+ x 1) 3) (+ (* 2 x) (* 2 x)))",
+        "(= (/ 6 4) (- (- x 7) (+ 1 (* x 1))))",
+        "(= (+ (- x -1) (- x -2)) (- -1 -2))",  # hash(-1) == hash(-2)
+    ],
+)
+def test_interned_outputs_equal_plain_ones_pinned(text):
+    """Every primitive at every index of equations where simplify folds each
+    operator, dist, revdist and the rotations apply, and node hashes
+    collide."""
+    e = P(text)
+    for name in EQUATION_PRIMITIVES:
+        for i in range(e.size + 2):
+            _check_interned(e, name, i)
 
 
 def test_swap_twice_is_identity():
