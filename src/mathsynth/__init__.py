@@ -43,7 +43,6 @@ from .compression import (
     CompressionError,
     Pattern,
     best_pattern,
-    compress,
     compress_detailed,
     exhaustive_oracle,
     rewrite_with_abstraction,

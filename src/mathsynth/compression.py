@@ -21,6 +21,7 @@ recurses into the argument fillers, so nested occurrences still compress.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +38,11 @@ from .programs import (
     TSTR,
     VarRef,
     is_arrow,
+    map_leaves,
     program_cost,
     render_program,
+    spine,
+    subterms,
 )
 
 Corpus = list  # list of (task_id, Term)
@@ -80,38 +84,23 @@ def type_of(term: Term) -> object:
         return term.abstraction.type
     if tt is Lambda:
         return ("->", TSTR, type_of(term.body))
-    head = term
-    n_args = 0
-    while type(head) is Apply:
-        n_args += 1
-        head = head.fn
+    head, args = spine(term)
     t = type_of(head)
-    for _ in range(n_args):
+    for _ in args:
         if not is_arrow(t):
-            raise CompressionError(f"over-applied term {render_program_or_pattern(term)}")
+            raise CompressionError(
+                f"over-applied term {render_program(term, hole=_render_hole)}"
+            )
         t = t[2]
     return t
 
 
-def render_program_or_pattern(term) -> str:
-    tt = type(term)
-    if tt is _PHole:
-        return f"?{term.index}"
-    if tt is Lambda:
-        return f"(lambda {render_program_or_pattern(term.body)})"
-    if tt is Apply:
-        parts = []
-        head = term
-        while type(head) is Apply:
-            parts.append(render_program_or_pattern(head.arg))
-            head = head.fn
-        parts.append(render_program_or_pattern(head))
-        return "(" + " ".join(reversed(parts)) + ")"
-    return render_program(term)
+def _render_hole(hole: _PHole) -> str:
+    return f"?{hole.index}"
 
 
 def render_pattern(p: Pattern) -> str:
-    return render_program_or_pattern(p.term)
+    return render_program(p.term, hole=_render_hole)
 
 
 def subtrees(term: Term):
@@ -123,23 +112,8 @@ def subtrees(term: Term):
         return
     yield term
     if tt is Apply:
-        spine_args = []
-        head = term
-        while type(head) is Apply:
-            spine_args.append(head.arg)
-            head = head.fn
-        for a in reversed(spine_args):
+        for a in spine(term)[1]:
             yield from subtrees(a)
-
-
-def _spine(term: Term):
-    args = []
-    head = term
-    while type(head) is Apply:
-        args.append(head.arg)
-        head = head.fn
-    args.reverse()
-    return head, args
 
 
 def match_pattern(pattern_term, site: Term) -> Optional[list]:
@@ -183,16 +157,9 @@ def pattern_cost_as_abstraction(p: Pattern) -> int:
 def abstraction_from_pattern(p: Pattern) -> Abstraction:
     if p.whole_program:
         return Abstraction(p.term)
-
-    def sub(term):
-        tt = type(term)
-        if tt is _PHole:
-            return VarRef(p.arity - 1 - term.index)
-        if tt is Apply:
-            return Apply(sub(term.fn), sub(term.arg))
-        return term
-
-    body = sub(p.term)
+    body = map_leaves(
+        p.term, lambda t: VarRef(p.arity - 1 - t.index) if type(t) is _PHole else t
+    )
     for _ in range(p.arity):
         body = Lambda(body)
     return Abstraction(body)
@@ -275,18 +242,12 @@ def _fill_hole(term, replacement):
     return term, False
 
 
-def _assign_hole_indices(term, counter):
-    tt = type(term)
-    if tt is _PHole:
-        idx = counter[0]
-        counter[0] += 1
-        return _PHole(idx, term.type)
-    if tt is Apply:
-        return Apply(
-            _assign_hole_indices(term.fn, counter),
-            _assign_hole_indices(term.arg, counter),
-        )
-    return term
+def _assign_hole_indices(term):
+    """Number the holes 0, 1, ... in first-occurrence order."""
+    count = itertools.count()
+    return map_leaves(
+        term, lambda t: _PHole(next(count), t.type) if type(t) is _PHole else t
+    )
 
 
 def best_pattern(
@@ -348,7 +309,7 @@ def best_pattern(
                 continue
             if not hole_types:
                 if has_prim and n_args >= 1:
-                    pat = Pattern(_assign_hole_indices(term, [0]), n_args)
+                    pat = Pattern(_assign_hole_indices(term), n_args)
                     consider(pat)
                 continue
             # admissible bound: every remaining hole resolves for free
@@ -371,7 +332,7 @@ def best_pattern(
             # choice 2: expand to a concrete head drawn from the match sites
             heads: dict = {}
             for pi, sc, pending, fillers in matches:
-                head, args = _spine(pending[0])
+                head, args = spine(pending[0])
                 th = type(head)
                 if th is VarRef or th is Lambda:
                     continue  # a bare variable cannot be extracted
@@ -415,38 +376,20 @@ def _head_arg_types(head) -> list:
 
 
 def _node_count(term) -> int:
-    tt = type(term)
-    if tt is Lambda:
-        return 1 + _node_count(term.body)
-    if tt is Apply:
-        return 1 + _node_count(term.fn) + _node_count(term.arg)
-    return 1
-
-
-def compress(
-    corpus: Corpus,
-    rounds: int = 3,
-    max_arity: int = 2,
-    max_pattern_nodes: Optional[int] = None,
-    known: Optional[set] = None,
-) -> tuple[list[Abstraction], Corpus]:
-    """Iteratively extract the best abstraction and rewrite the corpus.
-
-    Stops early once no candidate has positive utility.
-    """
-    abstractions, _info, out = compress_detailed(
-        corpus, rounds, max_arity, max_pattern_nodes, known
-    )
-    return abstractions, out
+    return sum(1 for _ in subterms(term))
 
 
 def compress_detailed(
     corpus: Corpus,
     rounds: int = 3,
     max_arity: int = 2,
-    max_pattern_nodes: Optional[int] = None,
     known: Optional[set] = None,
 ) -> tuple[list[Abstraction], list[RoundInfo], Corpus]:
+    """Iteratively extract the best abstraction and rewrite the corpus.
+
+    Returns the abstractions, one RoundInfo per round and the rewritten
+    corpus.  Stops early once no candidate has positive utility.
+    """
     if rounds < 1:
         raise CompressionError("rounds must be at least 1")
     abstractions: list[Abstraction] = []
@@ -454,9 +397,7 @@ def compress_detailed(
     skip = set(known) if known is not None else set()
     current = list(corpus)
     for _ in range(rounds):
-        pattern, u, scored = best_pattern(
-            current, max_arity, max_pattern_nodes, skip or None
-        )
+        pattern, u, scored = best_pattern(current, max_arity, known=skip or None)
         if pattern is None or u <= 0:
             rounds_info.append(RoundInfo(pattern, u, 0, scored))
             break
@@ -491,7 +432,7 @@ def exhaustive_oracle(
 
     def anti_instances(site) -> list:
         """All hole/keep choices of a site subtree, as (term, n_holes)."""
-        head, args = _spine(site)
+        head, args = spine(site)
         th = type(head)
         out = []
         if th not in (VarRef, Lambda):
@@ -521,11 +462,9 @@ def exhaustive_oracle(
                     continue
                 if _node_count(term) > max_pattern_nodes:
                     continue
-                if not any(
-                    type(t) in (Prim, AbsRef) for t in _walk_pattern(term)
-                ):
+                if not any(type(t) in (Prim, AbsRef) for t in subterms(term)):
                     continue
-                pat = Pattern(_assign_hole_indices(term, [0]), holes)
+                pat = Pattern(_assign_hole_indices(term), holes)
                 add(pat)
 
     if not candidates:
@@ -541,12 +480,3 @@ def exhaustive_oracle(
             best_key, best_pat, best_u = key, pat, u
     return best_pat, best_u
 
-
-def _walk_pattern(term):
-    yield term
-    tt = type(term)
-    if tt is Lambda:
-        yield from _walk_pattern(term.body)
-    elif tt is Apply:
-        yield from _walk_pattern(term.fn)
-        yield from _walk_pattern(term.arg)

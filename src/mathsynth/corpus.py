@@ -245,6 +245,10 @@ def save_tasks(path: str, tasks: list):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+# a goal may be written as a number or as a fraction string such as "3/5"
+_TASK_FIELDS = {"equation": str, "goal": (str, int), "id": str, "template_id": str}
+
+
 def load_corpus(path: str) -> list:
     oracle = GoalOracle()
     tasks = []
@@ -257,6 +261,13 @@ def load_corpus(path: str) -> list:
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise CorpusError(f"{path}:{lineno}: bad task record: not a JSON object")
+                for key, types in _TASK_FIELDS.items():
+                    value = rec[key]
+                    if not isinstance(value, types) or type(value) is bool:
+                        raise CorpusError(
+                            f"{path}:{lineno}: bad task record: field {key!r} "
+                            f"has a value of type {type(value).__name__}"
+                        )
                 eq = parse_prefix(rec["equation"])
                 goal = Fraction(rec["goal"])
                 task = Task(rec["id"], rec["template_id"], eq, goal)

@@ -73,6 +73,7 @@ from .programs import (
     VarRef,
     apply_abstraction,
     arrow,
+    program_cost,
     render_program,
 )
 
@@ -117,31 +118,8 @@ def _fill_leftmost(term, replacement):
 
 
 def _render_partial(term) -> str:
-    """Like render_program but hole markers sort before any real token."""
-    tt = type(term)
-    if tt is _Hole:
-        return "\x00"
-    if tt is Lambda:
-        return f"(lambda {_render_partial(term.body)})"
-    if tt is Apply:
-        parts = []
-        head = term
-        while type(head) is Apply:
-            parts.append(_render_partial(head.arg))
-            head = head.fn
-        parts.append(_render_partial(head))
-        return "(" + " ".join(reversed(parts)) + ")"
-    return render_program(term)
-
-
-def _min_cost(term) -> int:
-    """Lower bound on the cost of any completion (holes cost 100)."""
-    tt = type(term)
-    if tt is Lambda:
-        return 1 + _min_cost(term.body)
-    if tt is Apply:
-        return 1 + _min_cost(term.fn) + _min_cost(term.arg)
-    return 100
+    """render_program with hole markers that sort before any real token."""
+    return render_program(term, hole=lambda h: "\x00")
 
 
 def _candidate_head(c) -> Term:
@@ -195,7 +173,8 @@ def enumerate_programs(
                 head = Apply(head, _Hole(arg_ctx))
             child, ok = _fill_leftmost(term, head)
             child_holes = c.arg_ctxs + rest
-            if _min_cost(child) > budget.max_program_cost:
+            # a hole costs 100 like any leaf: a lower bound on any completion
+            if program_cost(child) > budget.max_program_cost:
                 continue
             child_logp = logp + c.log_prob
             priority = child_logp + sum(bounds[h] for h in child_holes)

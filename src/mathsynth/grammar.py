@@ -41,6 +41,8 @@ from .programs import (
     parse_program,
     render_program,
     render_type,
+    spine,
+    subterms,
 )
 
 CTX_TSTR = "tstr"
@@ -200,12 +202,7 @@ class Library:
                 if c.kind == "lit" and c.payload == term.value:
                     return c.log_prob
             raise GrammarError(f"literal {term.value} not available in context {ctx}")
-        head = term
-        args = []
-        while type(head) is Apply:
-            args.append(head.arg)
-            head = head.fn
-        args.reverse()
+        head, args = spine(term)
         if type(head) is Prim:
             match = lambda c: c.kind == "prim" and c.payload.item == head.name
         elif type(head) is AbsRef:
@@ -303,32 +300,23 @@ def production_counts(programs: Iterable[Term]) -> tuple[dict, int]:
     """
     counts: dict = {}
     var_uses = 0
-    stack = list(programs)
-    stack.reverse()
-    while stack:
-        t = stack.pop()
-        tt = type(t)
-        if tt is Prim:
-            counts[t.name] = counts.get(t.name, 0) + 1
-        elif tt is AbsRef:
-            counts[t.abstraction] = counts.get(t.abstraction, 0) + 1
-        elif tt is VarRef:
-            var_uses += 1
-        elif tt is Lambda:
-            stack.append(t.body)
-        elif tt is Apply:
-            stack.append(t.arg)
-            stack.append(t.fn)
+    for program in programs:
+        for t in subterms(program):
+            tt = type(t)
+            if tt is Prim:
+                counts[t.name] = counts.get(t.name, 0) + 1
+            elif tt is AbsRef:
+                counts[t.abstraction] = counts.get(t.abstraction, 0) + 1
+            elif tt is VarRef:
+                var_uses += 1
     return counts, var_uses
 
 
-def fit_grammar(lib: Library, programs: Iterable[Term], alpha: float = 1.0) -> Library:
-    """Refit weights from usage counts: weight = log(count + alpha)."""
+def fit_grammar(lib: Library, programs: Iterable[Term]) -> Library:
+    """Refit weights from usage counts: weight = log(count + 1)."""
     counts, var_uses = production_counts(programs)
-    prods = []
-    for p in lib.productions:
-        key = p.item
-        c = counts.get(key, 0)
-        prods.append(Production(p.item, p.type, math.log(c + alpha)))
-    return Library(prods, var_log_weight=math.log(var_uses + alpha),
-                   iteration=lib.iteration)
+    prods = [
+        Production(p.item, p.type, math.log(counts.get(p.item, 0) + 1))
+        for p in lib.productions
+    ]
+    return Library(prods, var_log_weight=math.log(var_uses + 1), iteration=lib.iteration)

@@ -113,7 +113,9 @@ def extract_steps(
     lib=None,
     task_id: str = "",
 ) -> Solution:
-    _, states = evaluate(p, input_equation, lib=lib, trace=True)
+    """The states ``p`` passes through on ``input_equation``.  ``lib`` is
+    accepted for callers that pass one; a program holds its abstractions."""
+    _, states = evaluate(p, input_equation, trace=True)
     return Solution(task_id, tuple(states), PROGRAM_TRACE)
 
 

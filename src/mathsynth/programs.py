@@ -11,24 +11,28 @@ Types are simple: ``tstr`` (an equation), ``tint`` (an integer) and arrows.
 Every equation-valued primitive has type ``tstr -> tint -> tstr`` with the
 equation first.
 
-Evaluation is call-by-value.  With tracing on, the evaluator records one
-state per equation-valued result on the application spine, treating an
-abstraction call as a single step: states produced inside an abstraction
-body are not recorded.
+Evaluation is call-by-value and compiled: _compile turns a term into a
+Python closure over a de Bruijn environment tuple.  A function value is a
+one-argument callable; a primitive or abstraction value is curried, a lambda
+value closes over its environment.  An application of an equation primitive
+or an abstraction to all its arguments becomes a direct call.  An
+abstraction's body is compiled on first use, without a recorder, and cached
+on the Abstraction; the cache is never pickled, so an Abstraction travels as
+its body, name and origin iteration and is compiled again where it lands.
 
-A saturated abstraction call runs the abstraction's compiled form: a tree of
-Python closures built from its body on first use and cached on the
-Abstraction.  A call of a primitive or of another abstraction with all its
-arguments becomes a direct call; any other application goes through the
-evaluator's generic application.  It is the only way an abstraction runs,
-from apply_abstraction and from evaluate alike, and it fails with EvalError
-where the evaluator would.  The cache is never pickled: an Abstraction
-travels as its body, name and origin iteration, and a process that receives
-one compiles it again.
+With tracing on, evaluate compiles the program with a recorder: every
+application appends the equation it yields, inside the program's own
+lambdas too, while an abstraction call is a single step whose inner states
+are not recorded.
+
+A top-level call (evaluate or apply_abstraction) may apply at most
+_STEP_LIMIT lambda closures and fails with EvalError past that, since a body
+read from a checkpoint can nest lambdas into exponential work.  Saturated
+primitive and abstraction calls are not counted.
 
 Cost charges 100 per terminal (primitive, literal, variable or abstraction
 reference) and 1 per application or lambda, so ``(lambda (sub $0 5))``
-costs 303 and ``(lambda $0)`` costs 102.
+costs 303 and ``(lambda $0)`` costs 101.
 """
 
 from __future__ import annotations
@@ -186,20 +190,17 @@ Program = Term
 # --- serialization ----------------------------------------------------------
 
 
-def render_program(p: Term, named: bool = False) -> str:
+def render_program(p: Term, named: bool = False, hole=None) -> str:
     """S-expression text.  Abstraction references render inline as
-    ``#(lambda ...)`` unless ``named`` is set and the abstraction has a name."""
+    ``#(lambda ...)`` unless ``named`` is set and the abstraction has a name.
+    ``hole`` renders any leaf that is not a term, such as the hole of a
+    partial program."""
     tt = type(p)
     if tt is Lambda:
-        return f"(lambda {render_program(p.body, named)})"
+        return f"(lambda {render_program(p.body, named, hole)})"
     if tt is Apply:
-        parts = []
-        head = p
-        while type(head) is Apply:
-            parts.append(render_program(head.arg, named))
-            head = head.fn
-        parts.append(render_program(head, named))
-        return "(" + " ".join(reversed(parts)) + ")"
+        head, args = spine(p)
+        return "(" + " ".join(render_program(t, named, hole) for t in [head, *args]) + ")"
     if tt is VarRef:
         return f"${p.index}"
     if tt is Prim:
@@ -211,6 +212,8 @@ def render_program(p: Term, named: bool = False) -> str:
         if named and a.name:
             return a.name
         return f"#{render_program(a.body, named)}"
+    if hole is not None:
+        return hole(p)
     raise ProgramError(f"cannot render {p!r}")
 
 
@@ -354,6 +357,28 @@ def subterms(p: Term):
         yield from subterms(p.arg)
 
 
+def spine(term: Term) -> tuple:
+    """(head, args) of an application spine, the arguments in call order;
+    (term, []) for anything but an application."""
+    args = []
+    while type(term) is Apply:
+        args.append(term.arg)
+        term = term.fn
+    args.reverse()
+    return term, args
+
+
+def map_leaves(term: Term, f) -> Term:
+    """``term`` rebuilt with every leaf replaced by ``f(leaf)``, left to
+    right; does not descend into abstraction bodies."""
+    tt = type(term)
+    if tt is Lambda:
+        return Lambda(map_leaves(term.body, f))
+    if tt is Apply:
+        return Apply(map_leaves(term.fn, f), map_leaves(term.arg, f))
+    return f(term)
+
+
 # --- type inference ----------------------------------------------------------
 
 
@@ -443,36 +468,10 @@ def infer_type(p: Term, env: tuple = ()):
 
 
 _STEP_LIMIT = 100_000
-
-
-class _PrimVal:
-    __slots__ = ("name", "args")
-
-    def __init__(self, name, args=()):
-        self.name = name
-        self.args = args
-
-
-class _AbsVal:
-    __slots__ = ("abstraction", "args")
-
-    def __init__(self, abstraction, args=()):
-        self.abstraction = abstraction
-        self.args = args
-
-
-class _Closure:
-    __slots__ = ("term", "env")
-
-    def __init__(self, term, env):
-        self.term = term
-        self.env = env
-
-
-def _run_prim(name: str, args):
-    if name == "newConstGen":
-        return new_const_gen(*args)
-    return _run_equation_prim(name, *args)
+# Closure applications since the last top-level call.  Every top-level call
+# resets it first, so no count carries over from one call to the next; being
+# module-level, it keeps saturated calls free of per-call bookkeeping.
+_steps = 0
 
 
 def _run_equation_prim(name: str, e, i):
@@ -486,74 +485,48 @@ def _run_equation_prim(name: str, e, i):
         ) from err
 
 
-def _prim_arity(name: str) -> int:
-    return 3 if name == "newConstGen" else 2
+def _curried(run, arity: int, got: tuple = ()):
+    """One-argument function value that calls ``run`` with ``arity``
+    arguments, in call order, once it has them all."""
+
+    def fn(arg):
+        args = got + (arg,)
+        if len(args) == arity:
+            return run(args)
+        return _curried(run, arity, args)
+
+    return fn
 
 
-class _Machine:
-    def __init__(self, record):
-        self.record = record
-        self.steps = 0
+def _prim_value(name: str):
+    if name == "newConstGen":
+        return _curried(lambda args: new_const_gen(*args), 3)
+    return _curried(lambda args: _run_equation_prim(name, *args), 2)
 
-    def eval(self, term, env, rec):
-        self.steps += 1
-        if self.steps > _STEP_LIMIT:
+
+def _closure(body, env):
+    def fn(arg):
+        global _steps
+        _steps += 1
+        if _steps > _STEP_LIMIT:
             raise EvalError("evaluation step limit exceeded")
-        tt = type(term)
-        if tt is IntLit:
-            return term.value
-        if tt is VarRef:
-            return env[term.index]
-        if tt is Prim:
-            return _PrimVal(term.name)
-        if tt is AbsRef:
-            return _AbsVal(term.abstraction)
-        if tt is Lambda:
-            return _Closure(term, env)
-        # application spine
-        head = term
-        args = []
-        while type(head) is Apply:
-            args.append(head.arg)
-            head = head.fn
-        args.reverse()
-        val = self.eval(head, env, rec)
-        argvals = [self.eval(a, env, rec) for a in args]
-        result = self.apply_value(val, argvals, rec)
-        if rec is not None and isinstance(result, Node) and is_equation(result):
-            rec.append(result)
-        return result
+        return body((arg,) + env)
 
-    def apply_value(self, val, argvals, rec):
-        for pos, arg in enumerate(argvals):
-            tv = type(val)
-            if tv is _PrimVal:
-                got = val.args + (arg,)
-                if len(got) == _prim_arity(val.name):
-                    val = _run_prim(val.name, got)
-                else:
-                    val = _PrimVal(val.name, got)
-            elif tv is _AbsVal:
-                got = val.args + (arg,)
-                a = val.abstraction
-                if len(got) == a.arity:
-                    val = a.run(got)
-                else:
-                    val = _AbsVal(a, got)
-            elif tv is _Closure:
-                val = self.eval(val.term.body, (arg,) + val.env, rec)
-            else:
-                raise EvalError(f"cannot apply a non-function value to {arg!r}")
-        return val
+    return fn
 
 
-def _compile(term):
-    """Closure computing ``term``'s value from a de Bruijn environment tuple,
-    as _Machine.eval would without recording states.
+def _apply(fn, arg):
+    if not callable(fn):
+        raise EvalError(f"cannot apply a non-function value to {arg!r}")
+    return fn(arg)
 
-    Compiled code has no loop, and an abstraction body refers only to
-    abstractions learned before it, so it needs no step limit; what it hands
-    to a fresh _Machine counts against that machine's limit."""
+
+def _compile(term, rec: Optional[list] = None):
+    """Closure computing ``term``'s value from a de Bruijn environment tuple.
+
+    With a recorder list ``rec``, every application appends the equation it
+    yields.  Function values are one-argument callables; abstraction bodies
+    are compiled on their own, without a recorder."""
     tt = type(term)
     if tt is IntLit:
         value = term.value
@@ -562,68 +535,79 @@ def _compile(term):
         index = term.index
         return lambda env: env[index]
     if tt is Prim:
-        name = term.name
-        return lambda env: _PrimVal(name)
+        prim = _prim_value(term.name)
+        return lambda env: prim
     if tt is AbsRef:
         a = term.abstraction
-        return lambda env: _AbsVal(a)
+        ref = _curried(a.run, a.arity)
+        return lambda env: ref
     if tt is Lambda:
-        return lambda env: _Closure(term, env)
-    head = term
-    args = []
-    while type(head) is Apply:
-        args.append(head.arg)
-        head = head.fn
-    args.reverse()
-    arg_fns = [_compile(arg) for arg in args]
+        body = _compile(term.body, rec)
+        return lambda env: _closure(body, env)
+    head, args = spine(term)
+    arg_fns = [_compile(arg, rec) for arg in args]
     if type(head) is Prim and head.name in EQUATION_PRIMITIVES and len(args) == 2:
         name = head.name
         eq_fn, index_fn = arg_fns
-        return lambda env: _run_equation_prim(name, eq_fn(env), index_fn(env))
-    if type(head) is AbsRef and len(args) == head.abstraction.arity:
-        run = head.abstraction.run
-        return lambda env: run(tuple([f(env) for f in arg_fns]))
-    head_fn = _compile(head)
-    return lambda env: _Machine(False).apply_value(
-        head_fn(env), [f(env) for f in arg_fns], None
-    )
+        run = lambda env: _run_equation_prim(name, eq_fn(env), index_fn(env))
+    elif type(head) is AbsRef and len(args) == head.abstraction.arity:
+        call = head.abstraction.run
+        run = lambda env: call(tuple([f(env) for f in arg_fns]))
+    else:
+        head_fn = _compile(head, rec)
+
+        def run(env):
+            val = head_fn(env)
+            for arg in [f(env) for f in arg_fns]:
+                val = _apply(val, arg)
+            return val
+
+    if rec is None:
+        return run
+
+    def recorded(env):
+        val = run(env)
+        if is_equation(val):
+            rec.append(val)
+        return val
+
+    return recorded
 
 
 def apply_abstraction(a: Abstraction, args):
     """Run an abstraction on fully evaluated argument values."""
+    global _steps
+    _steps = 0
     if len(args) == a.arity:
         return a.run(tuple(args))
-    return _Machine(False).apply_value(_AbsVal(a), list(args), None)
+    val = _curried(a.run, a.arity)
+    for arg in args:
+        val = _apply(val, arg)
+    return val
 
 
-def evaluate(
-    p: Term,
-    input_equation: Equation,
-    lib=None,
-    trace: bool = False,
-):
+def evaluate(p: Term, input_equation: Equation, trace: bool = False):
     """Run a tstr -> tstr program on an equation.
 
     Returns (result, states) where states is None without tracing and
     otherwise the list of equation states starting with the input and ending
     with the output.
     """
+    global _steps
     t = infer_type(p)
     if t != arrow(TSTR, TSTR):
         raise EvalError(f"program has type {render_type_safe(t)}, expected tstr -> tstr")
-    machine = _Machine(trace)
     rec = [] if trace else None
-    val = machine.eval(p, (), rec)
-    result = machine.apply_value(val, [input_equation], rec)
-    if rec is not None and isinstance(result, Node) and is_equation(result):
-        if not rec or rec[-1] is not result:
-            rec.append(result)
-    if not (isinstance(result, Node) and is_equation(result)):
+    _steps = 0
+    result = _apply(_compile(p, rec)(()), input_equation)
+    if not is_equation(result):
         raise EvalError("program did not produce an equation")
-    if trace:
-        states = [input_equation]
-        for s in rec:
-            if s is not states[-1]:
-                states.append(s)
-        return result, states
-    return result, None
+    if not trace:
+        return result, None
+    if not rec or rec[-1] is not result:
+        rec.append(result)
+    states = [input_equation]
+    for s in rec:
+        if s is not states[-1]:
+            states.append(s)
+    return result, states

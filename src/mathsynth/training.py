@@ -31,7 +31,16 @@ from .equations import EquationError, check_solved
 from .grammar import Library, fit_grammar
 from .metric import dedup_steps, extract_steps, solution_cost_f
 from .primitives import PrimitiveError
-from .programs import AbsRef, Apply, EvalError, Lambda, VarRef, evaluate, render_program
+from .programs import (
+    AbsRef,
+    Apply,
+    EvalError,
+    Lambda,
+    VarRef,
+    evaluate,
+    map_leaves,
+    render_program,
+)
 
 
 log = logging.getLogger(__name__)
@@ -51,7 +60,6 @@ class RunConfig:
     k_programs: int = 5
     rounds: int = 3
     max_arity: int = 2
-    alpha: float = 1.0
     probes: int = 2
     jobs: int = 1
     out_dir: Optional[str] = None
@@ -114,17 +122,12 @@ def _remap_refs(term, lib: Library):
     """Swap AbsRef targets for the library's named twins (equal bodies)."""
     named = {a: a for a in lib.abstractions()}
 
-    def walk(t):
-        tt = type(t)
-        if tt is AbsRef:
-            return AbsRef(named.get(t.abstraction, t.abstraction))
-        if tt is Lambda:
-            return Lambda(walk(t.body))
-        if tt is Apply:
-            return Apply(walk(t.fn), walk(t.arg))
-        return t
+    def remap(leaf):
+        if type(leaf) is AbsRef:
+            return AbsRef(named.get(leaf.abstraction, leaf.abstraction))
+        return leaf
 
-    return walk(term)
+    return map_leaves(term, remap)
 
 
 def _probe_rng(task_id: str, seed: int) -> random.Random:
@@ -255,9 +258,7 @@ def run_training_loop(
                 best[task_id] = replace(
                     best[task_id], program=_remap_refs(rewritten[pos][1], lib)
                 )
-            lib = fit_grammar(
-                lib, [best[t].program for t in sorted(best)], alpha=config.alpha
-            )
+            lib = fit_grammar(lib, [best[t].program for t in sorted(best)])
             lib.iteration = it
 
         mean_f, per_task_f = _mean_dedup_f(best, tasks)

@@ -10,7 +10,6 @@ from mathsynth.compression import (
     Pattern,
     abstraction_from_pattern,
     best_pattern,
-    compress,
     compress_detailed,
     exhaustive_oracle,
     render_pattern,
@@ -34,7 +33,7 @@ def corp(*texts):
 
 def test_identical_whole_programs_are_abstracted():
     corpus = corp(*["(lambda (sub $0 5))"] * 3)
-    abstractions, rewritten = compress(corpus)
+    abstractions, _, rewritten = compress_detailed(corpus)
     assert abstractions
     a = abstractions[0]
     assert render_program(a.body) == "(lambda (sub $0 5))"
@@ -45,14 +44,14 @@ def test_identical_whole_programs_are_abstracted():
 
 
 def test_trivial_identity_program_yields_nothing():
-    abstractions, rewritten = compress(corp("(lambda $0)"))
+    abstractions, _, rewritten = compress_detailed(corp("(lambda $0)"))
     assert abstractions == []
     assert rewritten == corp("(lambda $0)")
 
 
 def test_rounds_must_be_positive():
     with pytest.raises(CompressionError):
-        compress(corp("(lambda (sub $0 5))"), rounds=0)
+        compress_detailed(corp("(lambda (sub $0 5))"), rounds=0)
 
 
 def test_shared_fragment_with_hole_is_found():
@@ -80,7 +79,7 @@ def test_rewrite_preserves_evaluation():
         "(lambda (simplify (rrotate (add $0 3) 1) 0))",
     )
     inputs = [parse_prefix("(= (+ x 2) 9)"), parse_prefix("(= (- x 2) 9)")]
-    abstractions, rewritten = compress(corpus)
+    abstractions, _, rewritten = compress_detailed(corpus)
     for (_, before), (_, after), e in zip(corpus, rewritten, inputs):
         assert evaluate(before, e)[0] == evaluate(after, e)[0]
 
@@ -111,8 +110,8 @@ def test_round_utility_matches_realized_saving_for_fragments():
 
 def test_known_abstractions_are_skipped():
     corpus = corp(*["(lambda (sub $0 5))"] * 3)
-    first, _ = compress(corpus)
-    again, _ = compress(corpus, known=set(first))
+    first, _, _ = compress_detailed(corpus)
+    again, _, _ = compress_detailed(corpus, known=set(first))
     assert first[0] not in again
 
 
@@ -172,7 +171,7 @@ def test_tie_break_is_deterministic():
 
 def test_whole_program_rewrite_leaves_bare_reference():
     corpus = corp(*["(lambda (simplify (rrotate (sub $0 3) 1) 0))"] * 2)
-    abstractions, rewritten = compress(corpus, rounds=1)
+    abstractions, _, rewritten = compress_detailed(corpus, rounds=1)
     a = abstractions[0]
     assert [p for _, p in rewritten] == [AbsRef(a), AbsRef(a)]
     assert program_cost(rewritten[0][1]) == 100

@@ -153,6 +153,32 @@ def test_load_corpus_reports_malformed_lines(tmp_path):
         load_corpus(str(path))
 
 
+TASK_RECORD = {
+    "equation": "(= (+ x 1) 5)",
+    "goal": "4",
+    "id": "x_plus_b-000/0",
+    "template_id": "x_plus_b-000",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("equation", 5), ("goal", [1]), ("id", 5), ("goal", True)],
+    ids=["int-equation", "list-goal", "int-id", "bool-goal"],
+)
+def test_load_corpus_rejects_wrongly_typed_fields(tmp_path, field, value):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps({**TASK_RECORD, field: value}) + "\n")
+    with pytest.raises(CorpusError, match=f"typed.jsonl:1: .*'{field}'"):
+        load_corpus(str(path))
+
+
+def test_load_corpus_accepts_an_integer_goal(tmp_path):
+    path = tmp_path / "int_goal.jsonl"
+    path.write_text(json.dumps({**TASK_RECORD, "goal": 4}) + "\n")
+    assert load_corpus(str(path))[0].goal == 4
+
+
 def test_parse_step_accepts_both_notations():
     assert parse_step("(= (* 5 x) 3)") == parse_step("5x = 3")
 

@@ -15,12 +15,15 @@ from mathsynth.programs import (
     TINT,
     TSTR,
     VarRef,
+    apply_abstraction,
     arrow,
     evaluate,
     infer_type,
+    map_leaves,
     parse_program,
     program_cost,
     render_program,
+    spine,
 )
 
 
@@ -137,3 +140,67 @@ def test_int_literals_render_and_cost(a, b):
     p = parse_program(f"(newConstGen {a} {b} 0)")
     assert program_cost(p) == 403
     assert render_program(p) == f"(newConstGen {a} {b} 0)"
+
+
+SWAPPED = ["(= (+ x 2) 9)", "(= (+ 2 x) 9)"]
+
+
+@pytest.mark.parametrize(
+    "program, states",
+    [
+        (parse_program("(lambda ((lambda (swap $0 1)) $0))"), SWAPPED),
+        # the eta-reduced form training stores: a bare reference
+        (AbsRef(Abstraction(parse_program("(lambda (swap $0 1))"))), SWAPPED),
+        (parse_program("(lambda (swap $0 (newConstGen 1 1 0)))"), SWAPPED),
+        # states inside the program's own lambda are recorded
+        (
+            parse_program("(lambda ((lambda (sub (swap $0 1) 2)) (swap $0 1)))"),
+            SWAPPED + ["(= (+ x 2) 9)", "(= (- (+ x 2) x) (- 9 x))"],
+        ),
+    ],
+    ids=["beta-redex", "bare-absref", "int-subterm", "inner-lambda"],
+)
+def test_traced_states_through_generic_applications(program, states):
+    e = parse_prefix("(= (+ x 2) 9)")
+    result, traced = evaluate(program, e, trace=True)
+    assert traced == [parse_prefix(s) for s in states]
+    assert result == traced[-1]
+
+
+def _twice_nested(n):
+    """(lambda (D (D ... (D (lambda $0))) $0)) with D = twice: applies the
+    identity 2**n times."""
+    twice = parse_program("(lambda (lambda ($1 ($1 $0))))")
+    term = parse_program("(lambda $0)")
+    for _ in range(n):
+        term = Apply(twice, term)
+    return Lambda(Apply(term, VarRef(0)))
+
+
+def test_step_limit_stops_runaway_programs():
+    program = _twice_nested(20)
+    assert infer_type(program) == arrow(TSTR, TSTR)
+    e = parse_prefix("(= (+ x 2) 9)")
+    assert evaluate(_twice_nested(5), e) == (e, None)
+    with pytest.raises(EvalError, match="step limit"):
+        evaluate(program, e)
+    with pytest.raises(EvalError, match="step limit"):
+        apply_abstraction(Abstraction(program), (e,))
+
+
+def test_partial_applications_take_arguments_in_call_order():
+    # swap gets its equation, then its index; newConstGen 0 5 1 is 0 * 5 + 1
+    p = parse_program("(lambda ((lambda ($0 (newConstGen 0 5 1))) (swap $0)))")
+    e = parse_prefix("(= (+ x 2) 9)")
+    assert evaluate(p, e, trace=True)[1] == [e, parse_prefix("(= (+ 2 x) 9)")]
+
+
+def test_spine_and_map_leaves_go_left_to_right():
+    p = parse_program("(lambda (sub (swap $0 1) 2))")
+    head, args = spine(p.body)
+    assert head == Prim("sub") and [render_program(a) for a in args] == ["(swap $0 1)", "2"]
+    assert spine(p) == (p, [])
+    leaves = []
+    assert map_leaves(p, lambda t: leaves.append(t) or t) == p
+    assert [render_program(t) for t in leaves] == ["sub", "swap", "$0", "1", "2"]
+    assert render_program(map_leaves(p, lambda t: "?"), hole=str) == "(lambda (? (? ? ?) ?))"

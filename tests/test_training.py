@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 from conftest import equations
 from mathsynth.corpus import load_checkpoint, make_task
 from mathsynth.enumerator import SearchBudget, Task, solve_task_with_stats
-from mathsynth.equations import check_solved, parse_prefix
+from mathsynth.equations import Node, check_solved, parse_prefix
 from mathsynth.grammar import Library, fit_grammar
-from mathsynth.primitives import apply_primitive
+from mathsynth.primitives import (
+    EQUATION_PRIMITIVES,
+    PrimitiveError,
+    apply_primitive,
+    new_const_gen,
+)
 from mathsynth.programs import (
     TINT,
     AbsRef,
@@ -23,7 +28,6 @@ from mathsynth.programs import (
     Lambda,
     Prim,
     VarRef,
-    _Machine,
     apply_abstraction,
     evaluate,
     is_arrow,
@@ -131,7 +135,7 @@ def test_mini_loop_solves_all_training_tasks(mini_run):
     assert result.curve[-1]["train_rate"] == 1.0
     for task_id, bp in result.best.items():
         task = result.tasks[task_id]
-        out, _ = evaluate(bp.program, task.input, lib=result.library)
+        out, _ = evaluate(bp.program, task.input)
         assert check_solved(out) == task.goal
 
 
@@ -241,22 +245,49 @@ HAND_WRITTEN = [
 HAND_WRITTEN_ABSTRACTIONS = [Abstraction(parse_program(text)) for text in HAND_WRITTEN]
 
 
-def _inline(term):
-    """``term`` with every abstraction reference replaced by its body."""
+def _reference_eval(term, env):
+    """A call-by-value walk over the term itself, abstraction bodies
+    included; nothing in it is compiled.  A function value is a tuple:
+    ("closure", body, env) or ("prim", name, arity, arguments so far)."""
     tt = type(term)
+    if tt is IntLit:
+        return term.value
+    if tt is VarRef:
+        return env[term.index]
+    if tt is Prim:
+        return ("prim", term.name, 3 if term.name == "newConstGen" else 2, ())
     if tt is AbsRef:
-        return _inline(term.abstraction.body)
+        return _reference_eval(term.abstraction.body, ())
     if tt is Lambda:
-        return Lambda(_inline(term.body))
-    if tt is Apply:
-        return Apply(_inline(term.fn), _inline(term.arg))
-    return term
+        return ("closure", term.body, env)
+    return _reference_apply(_reference_eval(term.fn, env), _reference_eval(term.arg, env))
+
+
+def _reference_apply(fn, arg):
+    if type(fn) is not tuple:
+        raise EvalError("not a function")
+    if fn[0] == "closure":
+        return _reference_eval(fn[1], (arg,) + fn[2])
+    _, name, arity, got = fn
+    got += (arg,)
+    if len(got) < arity:
+        return ("prim", name, arity, got)
+    if name == "newConstGen":
+        return new_const_gen(*got)
+    if type(got[0]) is not Node or got[0].op != "=":
+        raise EvalError("not an equation")
+    try:
+        return EQUATION_PRIMITIVES[name](*got)
+    except PrimitiveError:
+        raise EvalError(name) from None
 
 
 def _interpreted(a, args):
-    """The abstraction run by the generic evaluator alone, never compiled."""
-    machine = _Machine(False)
-    return machine.apply_value(machine.eval(_inline(a.body), (), None), list(args), None)
+    """The abstraction run by the reference walk, never compiled."""
+    value = _reference_eval(a.body, ())
+    for arg in args:
+        value = _reference_apply(value, arg)
+    return value
 
 
 def _outcome(run):
