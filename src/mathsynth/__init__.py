@@ -38,13 +38,12 @@ from .programs import (
     render_program,
 )
 from .grammar import Library, Production, fit_grammar
-from .enumerator import SearchBudget, Task, enumerate_programs, solve_task
+from .enumerator import SearchBudget, Task, solve_task
 from .compression import (
     CompressionError,
     Pattern,
     best_pattern,
     compress_detailed,
-    exhaustive_oracle,
     rewrite_with_abstraction,
     utility,
 )

@@ -22,13 +22,12 @@ from .corpus import (
     load_checkpoint,
     load_corpus,
     load_solutions,
-    save_checkpoint,
     save_solutions,
     save_tasks,
     _atomic_write,
 )
 from .enumerator import SearchBudget, solve_task_with_stats
-from .equations import EquationError, render_infix
+from .equations import EquationError
 from .grammar import GrammarError, Library
 from .metric import (
     MetricError,

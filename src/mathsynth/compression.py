@@ -149,11 +149,6 @@ def match_pattern(pattern_term, site: Term) -> Optional[list]:
     return [fillers[i] for i in sorted(fillers)]
 
 
-def pattern_cost_as_abstraction(p: Pattern) -> int:
-    """Cost of the abstraction a pattern turns into."""
-    return program_cost(abstraction_from_pattern(p).body)
-
-
 def abstraction_from_pattern(p: Pattern) -> Abstraction:
     if p.whole_program:
         return Abstraction(p.term)
@@ -165,17 +160,9 @@ def abstraction_from_pattern(p: Pattern) -> Abstraction:
     return Abstraction(body)
 
 
-def _rewrite_site(p: Pattern, fillers: list) -> Term:
-    term: Term = AbsRef(abstraction_from_pattern(p))
-    for f in fillers:
-        term = Apply(term, f)
-    return term
-
-
 def utility(p: Pattern, corpus: Corpus) -> int:
     """Exact compression utility of a pattern against a corpus."""
-    a_cost = pattern_cost_as_abstraction(p) if not p.whole_program else program_cost(p.term)
-    total = -a_cost
+    total = -program_cost(p.term if p.whole_program else abstraction_from_pattern(p).body)
     for _, prog in corpus:
         best = 0
         sites = [prog] if p.whole_program else subtrees(prog)
@@ -410,73 +397,4 @@ def compress_detailed(
         rounds_info.append(RoundInfo(pattern, u, before - after, scored))
         current = rewritten
     return abstractions, rounds_info, current
-
-
-def exhaustive_oracle(
-    corpus: Corpus,
-    max_arity: int = 2,
-    max_pattern_nodes: int = 7,
-) -> tuple[Pattern, int]:
-    """Brute-force argmax over every candidate pattern within bounds."""
-    if not corpus:
-        raise CompressionError("empty corpus")
-    if len(corpus) > 5 or any(_node_count(p) > 15 for _, p in corpus):
-        raise CompressionError("corpus exceeds oracle bounds")
-    if max_pattern_nodes > 7:
-        raise CompressionError("max_pattern_nodes exceeds oracle bound")
-
-    candidates: dict = {}
-
-    def add(p: Pattern):
-        candidates.setdefault(render_pattern(p), p)
-
-    def anti_instances(site) -> list:
-        """All hole/keep choices of a site subtree, as (term, n_holes)."""
-        head, args = spine(site)
-        th = type(head)
-        out = []
-        if th not in (VarRef, Lambda):
-            choices_per_arg = [
-                anti_instances(a) + [(_PHole(-1, type_of(a)), 1)] for a in args
-            ]
-            combos = [([], 0)]
-            for ch in choices_per_arg:
-                combos = [
-                    (built + [t], holes + h)
-                    for built, holes in combos
-                    for t, h in ch
-                ]
-            for built, holes in combos:
-                term: Term = head
-                for b in built:
-                    term = Apply(term, b)
-                out.append((term, holes))
-        return out
-
-    for _, prog in corpus:
-        if type(prog) is Lambda and _node_count(prog) <= max_pattern_nodes:
-            add(Pattern(prog, 0, whole_program=True))
-        for site in subtrees(prog):
-            for term, holes in anti_instances(site):
-                if holes < 1 or holes > max_arity:
-                    continue
-                if _node_count(term) > max_pattern_nodes:
-                    continue
-                if not any(type(t) in (Prim, AbsRef) for t in subterms(term)):
-                    continue
-                pat = Pattern(_assign_hole_indices(term), holes)
-                add(pat)
-
-    if not candidates:
-        raise CompressionError("no candidate patterns in corpus")
-    best_key = None
-    best_pat = None
-    best_u = None
-    for render in sorted(candidates):
-        pat = candidates[render]
-        u = utility(pat, corpus)
-        key = (-u, render)
-        if best_key is None or key < best_key:
-            best_key, best_pat, best_u = key, pat, u
-    return best_pat, best_u
 

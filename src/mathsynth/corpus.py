@@ -29,9 +29,7 @@ from .equations import (
     Equation,
     EquationError,
     Expr,
-    Node,
     Var,
-    eval_at,
     is_equation,
     parse_equation_infix,
     parse_prefix,
@@ -271,7 +269,7 @@ def load_corpus(path: str) -> list:
                 eq = parse_prefix(rec["equation"])
                 goal = Fraction(rec["goal"])
                 task = Task(rec["id"], rec["template_id"], eq, goal)
-            except (json.JSONDecodeError, KeyError, ValueError, EquationError) as ex:
+            except (KeyError, ValueError, ZeroDivisionError, EquationError) as ex:
                 raise CorpusError(f"{path}:{lineno}: bad task record: {ex}") from ex
             solved = oracle.solve(eq)
             if solved != goal:
@@ -300,9 +298,13 @@ def load_solutions(path: str, source: str = INGESTED_BASELINE) -> dict:
     if not isinstance(data, dict):
         raise CorpusError(f"{path}: expected an object keyed by task id")
     out = {}
-    for task_id in data:
-        rec = data[task_id]
-        steps = rec["steps"] if isinstance(rec, dict) else rec
+    for task_id, rec in data.items():
+        steps = rec.get("steps") if isinstance(rec, dict) else rec
+        if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
+            raise CorpusError(
+                f"{path}: task {task_id!r}: expected a list of step strings,"
+                " bare or under \"steps\""
+            )
         try:
             states = tuple(parse_step(s) for s in steps)
         except EquationError as ex:
@@ -333,8 +335,3 @@ def save_checkpoint(path: str, lib: Library):
 def load_checkpoint(path: str) -> Library:
     with open(path) as f:
         return Library.from_dict(json.load(f))
-
-
-def verify_goal(task: Task) -> bool:
-    """Substituting the goal must satisfy the equation exactly."""
-    return eval_at(task.input.left, task.goal) == eval_at(task.input.right, task.goal)

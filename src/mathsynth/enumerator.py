@@ -1,19 +1,13 @@
-"""Best-first program enumeration and per-task solving.
-
-Both searches emit programs in non-increasing log-prior order with ties
-broken by the canonical program text, so a fixed library and budget always
-produce the same stream.
-
-enumerate_programs grows partial programs hole by hole; a partial's
-priority adds, for every open hole, the best log probability any candidate
-could contribute, which never underestimates a completion's prior.
+"""Per-task solving: a best-first chain search over equation states.
 
 solve_task exploits the shape of equation-valued programs: every one is a
 chain prim(...(prim($0, i1), ...), ik), so program search is a best-first
 walk over equation states with one action per (production, literal
-arguments) pair.  Integer arguments come from the literals 0..10 here;
-newConstGen composites are reachable through enumerate_programs only.
-States are deduplicated, keeping the best-priority program per state.
+arguments) pair.  Integer arguments come from the literals 0..10; the
+search never builds a newConstGen composite.  States are created in
+non-increasing log-prior order and deduplicated, keeping the first (best
+priority) program per state, so a fixed library and budget always give the
+same search.
 
 The chain search's frontier holds one cursor per node: the rank r of the
 next action to try on it, in the library's best-first action order.  A
@@ -55,10 +49,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .equations import Equation, check_solved, close_table, intern, open_table, subtrees
-from .grammar import CTX_TINT, CTX_TINT_INNER, CTX_TSTR, Library
+from .grammar import CTX_TINT, CTX_TSTR, Library
 from .primitives import SHAPE_PRECONDITIONS, PrimitiveError, apply_primitive
 from .programs import (
     AbsRef,
@@ -68,13 +62,8 @@ from .programs import (
     Lambda,
     Prim,
     Term,
-    TINT,
-    TSTR,
     VarRef,
     apply_abstraction,
-    arrow,
-    program_cost,
-    render_program,
 )
 
 
@@ -93,98 +82,10 @@ class SearchBudget:
     max_program_cost: int = 10_000
 
 
-# --- generic enumeration ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Hole:
-    ctx: str
-
-
-def _fill_leftmost(term, replacement):
-    tt = type(term)
-    if tt is _Hole:
-        return replacement, True
-    if tt is Lambda:
-        b, ok = _fill_leftmost(term.body, replacement)
-        return (Lambda(b) if ok else term), ok
-    if tt is Apply:
-        f, ok = _fill_leftmost(term.fn, replacement)
-        if ok:
-            return Apply(f, term.arg), True
-        a, ok = _fill_leftmost(term.arg, replacement)
-        return (Apply(term.fn, a) if ok else term), ok
-    return term, False
-
-
-def _render_partial(term) -> str:
-    """render_program with hole markers that sort before any real token."""
-    return render_program(term, hole=lambda h: "\x00")
-
-
 def _candidate_head(c) -> Term:
-    if c.kind == "var":
-        return VarRef(0)
-    if c.kind == "lit":
-        return IntLit(c.payload)
     if c.kind == "prim":
         return Prim(c.payload.item)
     return AbsRef(c.payload.item)
-
-
-def enumerate_programs(
-    lib: Library,
-    request,
-    budget: SearchBudget,
-) -> Iterator[tuple[Term, float]]:
-    """Yield (program, log_prior) streams for request tstr -> tstr or tint."""
-    if request == arrow(TSTR, TSTR):
-        root = Lambda(_Hole(CTX_TSTR))
-        holes = (CTX_TSTR,)
-    elif request == TINT:
-        root = _Hole(CTX_TINT)
-        holes = (CTX_TINT,)
-    else:
-        raise ValueError(f"unsupported request type {request!r}")
-
-    bounds = {
-        ctx: lib.max_log_prob(ctx)
-        for ctx in (CTX_TSTR, CTX_TINT, CTX_TINT_INNER)
-    }
-    seq = itertools.count()
-    start = time.monotonic()
-    heap = [(-sum(bounds[h] for h in holes), _render_partial(root), next(seq), root, holes, 0.0)]
-    expansions = 0
-    while heap:
-        neg_priority, _, _, term, open_holes, logp = heappop(heap)
-        if not open_holes:
-            yield term, logp
-            continue
-        if expansions >= budget.max_expansions:
-            return
-        expansions += 1
-        if expansions % 512 == 0 and time.monotonic() - start > budget.wall_timeout:
-            return
-        ctx = open_holes[0]
-        rest = open_holes[1:]
-        for c in lib.candidates(ctx):
-            head = _candidate_head(c)
-            for arg_ctx in c.arg_ctxs:
-                head = Apply(head, _Hole(arg_ctx))
-            child, ok = _fill_leftmost(term, head)
-            child_holes = c.arg_ctxs + rest
-            # a hole costs 100 like any leaf: a lower bound on any completion
-            if program_cost(child) > budget.max_program_cost:
-                continue
-            child_logp = logp + c.log_prob
-            priority = child_logp + sum(bounds[h] for h in child_holes)
-            heappush(
-                heap,
-                (-priority, _render_partial(child), next(seq), child, child_holes, child_logp),
-            )
-
-
-# --- per-task solving ---------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)

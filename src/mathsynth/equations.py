@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 OPS = ("=", "+", "-", "*", "/")
-ARITH_OPS = ("+", "-", "*", "/")
 
 
 class EquationError(Exception):
@@ -348,6 +347,13 @@ def _is_int_token(tok: str) -> bool:
     return bool(body) and all(c in _INT_CHARS for c in body)
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise EquationError(f"integer literal of {len(tok)} characters") from None
+
+
 def parse_prefix(text: str) -> Expr:
     """Parse the fully parenthesized prefix form, e.g. ``(+ (* 2 x) 1)``."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
@@ -375,7 +381,7 @@ def _parse_prefix(tokens: list[str], pos: int) -> tuple[Expr, int]:
     if tok == "x":
         return X, pos + 1
     if _is_int_token(tok):
-        return Const(int(tok)), pos + 1
+        return Const(_int(tok)), pos + 1
     raise EquationError(f"unexpected token {tok!r}")
 
 
@@ -481,23 +487,15 @@ class _InfixParser:
             follow = self.next()
             if not _is_int_token(follow):
                 raise EquationError("'-' here must precede an integer literal")
-            return Const(-int(follow))
+            return Const(-_int(follow))
         if _is_int_token(tok):
-            return Const(int(tok))
+            return Const(_int(tok))
         raise EquationError(f"unexpected token {tok!r} in infix input")
 
 
 def parse_equation_infix(text: str) -> Equation:
     """Parse ``2x + 1 = 7`` style input; coefficients may be implicit."""
     return _InfixParser(_tokenize_infix(text)).parse_equation()
-
-
-def parse_infix_expr(text: str) -> Expr:
-    parser = _InfixParser(_tokenize_infix(text))
-    e = parser.parse_expr()
-    if parser.peek() is not None:
-        raise EquationError(f"trailing input: {parser.peek()!r}")
-    return e
 
 
 def render_infix(e: Expr) -> str:

@@ -170,9 +170,6 @@ class Library:
             self._tables = self._build_tables()
         return self._tables[ctx]
 
-    def max_log_prob(self, ctx: str) -> float:
-        return max(c.log_prob for c in self.candidates(ctx))
-
     # -- scoring ----------------------------------------------------------
 
     def log_prior(self, p: Term) -> float:

@@ -73,10 +73,6 @@ class MetricReport:
     n_intersection: int = 0
     undefined_tasks: tuple = ()
 
-    @property
-    def mean_defined(self) -> bool:
-        return self.mean is not None
-
 
 def mean_c_score(targets: dict, baselines: dict) -> tuple[Optional[Fraction], MetricReport]:
     """Average C-score over tasks solved by both systems.

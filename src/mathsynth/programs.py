@@ -25,10 +25,11 @@ application appends the equation it yields, inside the program's own
 lambdas too, while an abstraction call is a single step whose inner states
 are not recorded.
 
-A top-level call (evaluate or apply_abstraction) may apply at most
-_STEP_LIMIT lambda closures and fails with EvalError past that, since a body
-read from a checkpoint can nest lambdas into exponential work.  Saturated
-primitive and abstraction calls are not counted.
+A top-level call (evaluate or apply_abstraction) may make at most
+_STEP_LIMIT steps, lambda-closure applications and saturated abstraction
+calls together, and fails with EvalError past that, since a body read from
+a checkpoint can nest lambdas or abstraction calls into exponential work.
+Saturated primitive calls are not counted.
 
 Cost charges 100 per terminal (primitive, literal, variable or abstraction
 reference) and 1 per application or lambda, so ``(lambda (sub $0 5))``
@@ -76,17 +77,6 @@ def render_type(t) -> str:
     if is_arrow(t[1]):
         lhs = f"({lhs})"
     return f"{lhs} -> {render_type(t[2])}"
-
-
-def parse_type(s: str):
-    parts = [p.strip() for p in s.split("->")]
-    if any(not p or "(" in p for p in parts):
-        raise ProgramError(f"cannot parse type {s!r}")
-    if len(parts) == 1:
-        if parts[0] not in (TSTR, TINT):
-            raise ProgramError(f"unknown base type {parts[0]!r}")
-        return parts[0]
-    return arrow(*parts)
 
 
 EQ_PRIM_TYPE = arrow(TSTR, TINT, TSTR)
@@ -157,6 +147,10 @@ class Abstraction:
 
     def run(self, args: tuple):
         """Apply to exactly ``arity`` evaluated arguments, in call order."""
+        global _steps
+        _steps += 1
+        if _steps > _STEP_LIMIT:
+            raise EvalError("evaluation step limit exceeded")
         fn = self._compiled
         if fn is None:
             core = self.body
@@ -184,7 +178,6 @@ class AbsRef:
 
 
 Term = Union[Lambda, Apply, VarRef, Prim, IntLit, AbsRef]
-Program = Term
 
 
 # --- serialization ----------------------------------------------------------
@@ -312,7 +305,10 @@ def _parse_term(tokens, pos, depth, abstractions):
             raise ProgramError(f"unbound variable {tok} at lambda depth {depth}")
         return VarRef(k), pos + 1
     if tok.isdigit() or (tok[0] == "-" and tok[1:].isdigit()):
-        v = int(tok)
+        try:
+            v = int(tok)
+        except ValueError:  # a digit int() does not read, or too many digits
+            raise ProgramError(f"bad integer literal {tok!r}") from None
         if not 0 <= v <= 10:
             raise ProgramError(f"integer literal {v} outside 0..10")
         return IntLit(v), pos + 1
@@ -468,9 +464,10 @@ def infer_type(p: Term, env: tuple = ()):
 
 
 _STEP_LIMIT = 100_000
-# Closure applications since the last top-level call.  Every top-level call
-# resets it first, so no count carries over from one call to the next; being
-# module-level, it keeps saturated calls free of per-call bookkeeping.
+# Steps (closure applications and abstraction calls) since the last top-level
+# call.  Every top-level call resets it first, so no count carries over from
+# one call to the next; being module-level, it needs no state threaded
+# through the compiled closures.
 _steps = 0
 
 

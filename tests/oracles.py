@@ -1,0 +1,98 @@
+"""Reference implementations that the tests check the package against.
+
+exhaustive_oracle scores every candidate pattern of a small corpus by brute
+force; best_pattern's branch-and-bound must find the same optimum.
+verify_goal checks a task's label by substitution, independently of the
+symbolic solver that produced it.
+"""
+
+from mathsynth.compression import (
+    CompressionError,
+    Corpus,
+    Pattern,
+    _assign_hole_indices,
+    _node_count,
+    _PHole,
+    render_pattern,
+    subtrees,
+    type_of,
+    utility,
+)
+from mathsynth.enumerator import Task
+from mathsynth.equations import eval_at
+from mathsynth.programs import AbsRef, Apply, Lambda, Prim, Term, VarRef, spine, subterms
+
+
+def exhaustive_oracle(
+    corpus: Corpus,
+    max_arity: int = 2,
+    max_pattern_nodes: int = 7,
+) -> tuple[Pattern, int]:
+    """Brute-force argmax over every candidate pattern within bounds."""
+    if not corpus:
+        raise CompressionError("empty corpus")
+    if len(corpus) > 5 or any(_node_count(p) > 15 for _, p in corpus):
+        raise CompressionError("corpus exceeds oracle bounds")
+    if max_pattern_nodes > 7:
+        raise CompressionError("max_pattern_nodes exceeds oracle bound")
+
+    candidates: dict = {}
+
+    def add(p: Pattern):
+        candidates.setdefault(render_pattern(p), p)
+
+    def anti_instances(site) -> list:
+        """All hole/keep choices of a site subtree, as (term, n_holes)."""
+        head, args = spine(site)
+        th = type(head)
+        out = []
+        if th not in (VarRef, Lambda):
+            choices_per_arg = [
+                anti_instances(a) + [(_PHole(-1, type_of(a)), 1)] for a in args
+            ]
+            combos = [([], 0)]
+            for ch in choices_per_arg:
+                combos = [
+                    (built + [t], holes + h)
+                    for built, holes in combos
+                    for t, h in ch
+                ]
+            for built, holes in combos:
+                term: Term = head
+                for b in built:
+                    term = Apply(term, b)
+                out.append((term, holes))
+        return out
+
+    for _, prog in corpus:
+        if type(prog) is Lambda and _node_count(prog) <= max_pattern_nodes:
+            add(Pattern(prog, 0, whole_program=True))
+        for site in subtrees(prog):
+            for term, holes in anti_instances(site):
+                if holes < 1 or holes > max_arity:
+                    continue
+                if _node_count(term) > max_pattern_nodes:
+                    continue
+                if not any(type(t) in (Prim, AbsRef) for t in subterms(term)):
+                    continue
+                pat = Pattern(_assign_hole_indices(term), holes)
+                add(pat)
+
+    if not candidates:
+        raise CompressionError("no candidate patterns in corpus")
+    best_key = None
+    best_pat = None
+    best_u = None
+    for render in sorted(candidates):
+        pat = candidates[render]
+        u = utility(pat, corpus)
+        key = (-u, render)
+        if best_key is None or key < best_key:
+            best_key, best_pat, best_u = key, pat, u
+    return best_pat, best_u
+
+
+
+def verify_goal(task: Task) -> bool:
+    """Substituting the goal must satisfy the equation exactly."""
+    return eval_at(task.input.left, task.goal) == eval_at(task.input.right, task.goal)

@@ -6,8 +6,8 @@ isolate, divide (4 states).  Tests pin the metric against these: raw f of
 24 vs 8, and a C-score of 2/3 for concise against verbose.
 """
 
-from .equations import parse_equation_infix
-from .metric import INGESTED_BASELINE, PROGRAM_TRACE, Solution
+from mathsynth.equations import parse_equation_infix
+from mathsynth.metric import INGESTED_BASELINE, PROGRAM_TRACE, Solution
 
 SAMPLE_TASK_ID = "sample/collect-and-divide"
 

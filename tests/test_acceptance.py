@@ -15,7 +15,6 @@ import pytest
 from mathsynth.cli import main
 from mathsynth.compression import (
     best_pattern,
-    exhaustive_oracle,
     rewrite_with_abstraction,
 )
 from mathsynth.corpus import (
@@ -27,7 +26,8 @@ from mathsynth.corpus import (
     shape_slots,
     template_shape,
 )
-from mathsynth.enumerator import SearchBudget, enumerate_programs
+from mathsynth import enumerator
+from mathsynth.enumerator import SearchBudget, Task, solve_task_with_stats
 from mathsynth.equations import (
     Const,
     EquationError,
@@ -47,15 +47,14 @@ from mathsynth.programs import (
     AbsRef,
     Apply,
     Lambda,
-    arrow,
-    TSTR,
     evaluate,
     parse_program,
     program_cost,
-    render_program,
 )
-from mathsynth.samples import concise_solution, verbose_solution
 from mathsynth.training import RunConfig, run_training_loop
+
+from oracles import exhaustive_oracle
+from samples import concise_solution, verbose_solution
 
 PRIM_NAMES = sorted(EQUATION_PRIMITIVES)
 SHAPES = sorted(SHAPE_FAMILY)
@@ -297,32 +296,43 @@ def _three_grammars():
     return [uniform, fitted, with_abstraction]
 
 
-def test_05_enumeration_order_is_monotone_and_deterministic():
-    budget = SearchBudget(max_expansions=5_000_000, wall_timeout=600.0)
+def _chain_states(monkeypatch, lib, task, budget):
+    """(state, log prior) of every node the chain search creates, in
+    creation order."""
+    created = []
+
+    class RecordingNode(enumerator._ChainNode):
+        __slots__ = ()
+
+        def __init__(self, eq, logp, *rest):
+            super().__init__(eq, logp, *rest)
+            created.append((render_prefix(eq), logp))
+
+    with monkeypatch.context() as m:
+        m.setattr(enumerator, "_ChainNode", RecordingNode)
+        solve_task_with_stats(task, lib, budget, k=1_000_000)
+    return created
+
+
+def test_05_enumeration_order_is_monotone_and_deterministic(monkeypatch):
+    eq = parse_prefix("(= (+ (* 3 x) 1) 5)")
+    task = Task("t/0", "t", eq, Fraction(4, 3))
+    budget = SearchBudget(max_expansions=30_000, wall_timeout=600.0)
     ok = True
     detail = []
     for idx, lib in enumerate(_three_grammars()):
-        runs = []
-        for _ in range(2):
-            stream = enumerate_programs(lib, arrow(TSTR, TSTR), budget)
-            emitted = []
-            for term, logp in stream:
-                emitted.append((render_program(term), logp))
-                if len(emitted) == 10_000:
-                    break
-            runs.append(emitted)
-        monotone = all(
-            runs[0][j][1] >= runs[0][j + 1][1] for j in range(len(runs[0]) - 1)
-        )
+        runs = [_chain_states(monkeypatch, lib, task, budget) for _ in range(2)]
+        logps = [logp for _, logp in runs[0]]
+        monotone = all(a >= b for a, b in zip(logps, logps[1:]))
         identical = runs[0] == runs[1]
-        complete = len(runs[0]) == 10_000
+        complete = len(runs[0]) >= 10_000
         ok = ok and monotone and identical and complete
-        detail.append(f"grammar {idx}: {len(runs[0])} programs"
+        detail.append(f"grammar {idx}: {len(runs[0])} states"
                       f"{'' if monotone else ' NOT MONOTONE'}"
                       f"{'' if identical else ' NONDETERMINISTIC'}")
     report(
-        "enumeration: log-priors non-increasing over 10k programs x 3 grammars,"
-        " streams identical across runs",
+        "enumeration: chain-search states created in non-increasing log-prior"
+        " order, at least 10k per grammar x 3 grammars, identical across runs",
         ok,
         "; ".join(detail),
     )

@@ -271,3 +271,25 @@ def test_task_line_that_is_not_an_object_is_an_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{path}:1:" in err
+
+
+@pytest.mark.parametrize(
+    "solutions",
+    [{"t/0": 5}, {"t/0": {"program": "x"}}, {"t/0": [3]}, None],
+    ids=["number", "no-steps", "non-string-step", "null"],
+)
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_malformed_solutions_file_is_an_error_not_a_traceback(
+    tmp_path, capsys, solutions, command
+):
+    path = tmp_path / "solutions.json"
+    path.write_text(json.dumps(solutions))
+    if command == "score":
+        rc = main(["score", "--solutions", str(path)])
+    else:
+        rc = main(["compare", "--target", str(path), "--baseline", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    if solutions is not None:
+        assert "'t/0'" in err

@@ -11,13 +11,11 @@ from mathsynth.compression import (
     abstraction_from_pattern,
     best_pattern,
     compress_detailed,
-    exhaustive_oracle,
     render_pattern,
     rewrite_with_abstraction,
     utility,
 )
 from mathsynth.equations import parse_prefix
-from mathsynth.grammar import Library
 from mathsynth.programs import (
     AbsRef,
     evaluate,
@@ -25,6 +23,8 @@ from mathsynth.programs import (
     program_cost,
     render_program,
 )
+
+from oracles import exhaustive_oracle
 
 
 def corp(*texts):

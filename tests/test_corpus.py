@@ -21,13 +21,14 @@ from mathsynth.corpus import (
     save_tasks,
     shape_slots,
     template_shape,
-    verify_goal,
 )
 from mathsynth.enumerator import Task
 from mathsynth.equations import parse_prefix, render_prefix
 from mathsynth.grammar import Library, fit_grammar
 from mathsynth.metric import Solution
 from mathsynth.programs import parse_program
+
+from oracles import verify_goal
 
 ORACLE = GoalOracle()
 

@@ -1,69 +1,10 @@
 from fractions import Fraction
 
 from mathsynth.corpus import GoalOracle
-from mathsynth.enumerator import (
-    SearchBudget,
-    Task,
-    enumerate_programs,
-    solve_task,
-    solve_task_with_stats,
-)
+from mathsynth.enumerator import SearchBudget, Task, solve_task, solve_task_with_stats
 from mathsynth.equations import check_solved, parse_prefix
 from mathsynth.grammar import Library, fit_grammar
-from mathsynth.programs import arrow, TSTR, evaluate, parse_program, render_program
-
-
-def take(stream, n):
-    out = []
-    for item in stream:
-        out.append(item)
-        if len(out) == n:
-            break
-    return out
-
-
-def test_first_emission_under_uniform_grammar_is_identity():
-    lib = Library.initial()
-    first = take(enumerate_programs(lib, arrow(TSTR, TSTR), SearchBudget()), 1)
-    assert render_program(first[0][0]) == "(lambda $0)"
-
-
-def test_log_priors_non_increasing():
-    lib = Library.initial()
-    emitted = take(
-        enumerate_programs(lib, arrow(TSTR, TSTR), SearchBudget()), 2000
-    )
-    logps = [lp for _, lp in emitted]
-    assert all(a >= b - 1e-12 for a, b in zip(logps, logps[1:]))
-
-
-def test_stream_is_deterministic():
-    def run():
-        lib = Library.initial()
-        return [
-            render_program(p)
-            for p, _ in take(
-                enumerate_programs(lib, arrow(TSTR, TSTR), SearchBudget()), 1500
-            )
-        ]
-
-    assert run() == run()
-
-
-def test_zero_expansion_budget_gives_empty_stream():
-    lib = Library.initial()
-    budget = SearchBudget(max_expansions=0)
-    assert take(enumerate_programs(lib, arrow(TSTR, TSTR), budget), 5) == []
-
-
-def test_emitted_programs_are_well_typed_and_closed():
-    from mathsynth.programs import infer_type
-
-    lib = Library.initial()
-    for p, _ in take(
-        enumerate_programs(lib, arrow(TSTR, TSTR), SearchBudget()), 500
-    ):
-        assert infer_type(p) == arrow(TSTR, TSTR)
+from mathsynth.programs import evaluate, parse_program, render_program
 
 
 def _task(prefix, tid="t0"):

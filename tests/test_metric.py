@@ -17,13 +17,9 @@ from mathsynth.metric import (
     solution_cost_f,
 )
 from mathsynth.programs import parse_program
-from mathsynth.samples import (
-    SAMPLE_TASK_ID,
-    concise_solution,
-    verbose_solution,
-)
 
 from conftest import equations
+from samples import SAMPLE_TASK_ID, concise_solution, verbose_solution
 
 
 def sol(task_id, *prefixes, source=PROGRAM_TRACE):

@@ -188,6 +188,29 @@ def test_step_limit_stops_runaway_programs():
         apply_abstraction(Abstraction(program), (e,))
 
 
+def _nested_abstraction(k):
+    """A_k with A_0 = (lambda (swap $0 1)) and A_k = (lambda (A_{k-1}
+    (A_{k-1} $0))): one call of A_k makes 2**(k+1) - 1 abstraction calls."""
+    a = Abstraction(parse_program("(lambda (swap $0 1))"))
+    for _ in range(k):
+        a = Abstraction(Lambda(Apply(AbsRef(a), Apply(AbsRef(a), VarRef(0)))))
+    return a
+
+
+def test_step_limit_stops_nested_abstraction_calls():
+    e = parse_prefix("(= (+ x 2) 9)")
+    # an even number of swaps leaves the equation as it was
+    assert apply_abstraction(_nested_abstraction(10), (e,)) == e
+    assert evaluate(Lambda(Apply(AbsRef(_nested_abstraction(10)), VarRef(0))), e) == (e, None)
+    deep = _nested_abstraction(18)
+    with pytest.raises(EvalError, match="step limit"):
+        apply_abstraction(deep, (e,))
+    with pytest.raises(EvalError, match="step limit"):
+        evaluate(Lambda(Apply(AbsRef(deep), VarRef(0))), e)
+    with pytest.raises(EvalError, match="step limit"):
+        evaluate(AbsRef(deep), e)
+
+
 def test_partial_applications_take_arguments_in_call_order():
     # swap gets its equation, then its index; newConstGen 0 5 1 is 0 * 5 + 1
     p = parse_program("(lambda ((lambda ($0 (newConstGen 0 5 1))) (swap $0)))")
