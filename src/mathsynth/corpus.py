@@ -243,6 +243,15 @@ def save_tasks(path: str, tasks: list):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _load_json(text: str, where: str):
+    """json.loads; JSON nested too deep for the decoder's recursion is a
+    CorpusError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise CorpusError(f"{where}: JSON nests too deeply to decode") from None
+
+
 # a goal may be written as a number or as a fraction string such as "3/5"
 _TASK_FIELDS = {"equation": str, "goal": (str, int), "id": str, "template_id": str}
 
@@ -256,7 +265,7 @@ def load_corpus(path: str) -> list:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = _load_json(line, f"{path}:{lineno}")
                 if not isinstance(rec, dict):
                     raise CorpusError(f"{path}:{lineno}: bad task record: not a JSON object")
                 for key, types in _TASK_FIELDS.items():
@@ -294,7 +303,7 @@ def parse_step(text: str) -> Equation:
 def load_solutions(path: str, source: str = INGESTED_BASELINE) -> dict:
     """task id -> Solution; accepts bare step lists or {program, steps}."""
     with open(path) as f:
-        data = json.load(f)
+        data = _load_json(f.read(), path)
     if not isinstance(data, dict):
         raise CorpusError(f"{path}: expected an object keyed by task id")
     out = {}
@@ -334,4 +343,4 @@ def save_checkpoint(path: str, lib: Library):
 
 def load_checkpoint(path: str) -> Library:
     with open(path) as f:
-        return Library.from_dict(json.load(f))
+        return Library.from_dict(_load_json(f.read(), path))

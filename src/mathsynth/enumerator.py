@@ -30,8 +30,9 @@ the popped one and each continued one alike, and each is subject to the
 same k, cutoff and wall-clock checks as a pop.  So a run expands exactly
 the cursors a pop per expansion would, in the same order.  For the length
 of a run the search holds the state's subtrees in a pre-order table, which
-lets it skip a primitive without calling it (see
-primitives.SHAPE_PRECONDITIONS); the table is dropped when the run ends.
+lets it test a primitive action's shape (the primitive's entry in
+primitives.RULES) and skip the call when it fails; the table is dropped when
+the run ends.
 
 Duplicate states are found by identity.  A search opens an equation intern
 table for its length (equations.open_table) and interns the task's input,
@@ -53,7 +54,7 @@ from typing import Callable, Optional
 
 from .equations import Equation, check_solved, close_table, intern, open_table, subtrees
 from .grammar import CTX_TINT, CTX_TSTR, Library
-from .primitives import SHAPE_PRECONDITIONS, PrimitiveError, apply_primitive
+from .primitives import RULES, PrimitiveError, apply_primitive
 from .programs import (
     AbsRef,
     Apply,
@@ -114,7 +115,7 @@ def _chain_actions(lib: Library) -> list[_Action]:
             continue  # not a chainable equation transformer
         head = _candidate_head(c)
         prim = head.name if type(head) is Prim else None
-        shape = SHAPE_PRECONDITIONS.get(prim)
+        shape = RULES[prim].shape if prim is not None else None
         n_int = len(c.arg_ctxs) - 1
         step_cost = 100 + (1 + n_int) + 100 * n_int
         for lits in itertools.product(range(0, 11), repeat=n_int):

@@ -20,6 +20,9 @@ fully parenthesized, whitespace separated, e.g. ``(= (+ (* 2 x) 1) 7)``.
 The infix codec accepts human-style strings such as ``2x + 1 = 7`` and
 renders back with minimal parentheses.
 
+Both codecs reject input nested deeper than MAX_NESTING levels, since the
+tree walks here and in the primitives recurse once per level.
+
 Subtrees are addressed by pre-order index: the root is 0 and the left
 subtree is numbered completely before the right one.
 """
@@ -31,6 +34,14 @@ from fractions import Fraction
 from typing import Optional, Union
 
 OPS = ("=", "+", "-", "*", "/")
+
+# The deepest nesting the text parsers accept: parentheses in the prefix
+# and program codecs, tree levels in the infix codec.  Real equations and
+# programs nest a few dozen levels at most.  The walks over a parsed tree
+# recurse once per level, and comparing or hashing a program term takes up
+# to six frames per parenthesis; a bound of 100 keeps all of them well
+# inside Python's default limit of 1000 frames.
+MAX_NESTING = 100
 
 
 class EquationError(Exception):
@@ -339,6 +350,22 @@ def check_solved(e: Equation) -> Optional[Fraction]:
 
 # --- prefix codec ---------------------------------------------------------
 
+
+def _too_deep(tokens: list[str]) -> bool:
+    """Whether the parentheses of ``tokens`` nest deeper than MAX_NESTING;
+    ``#(``, which opens an inline abstraction in program text, counts as
+    one."""
+    depth = 0
+    for tok in tokens:
+        if tok == ")":
+            depth -= 1
+        elif tok == "(" or tok == "#(":
+            depth += 1
+            if depth > MAX_NESTING:
+                return True
+    return False
+
+
 _INT_CHARS = frozenset("0123456789")
 
 
@@ -359,6 +386,8 @@ def parse_prefix(text: str) -> Expr:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise EquationError("empty input")
+    if _too_deep(tokens):
+        raise EquationError(f"input nests deeper than {MAX_NESTING} levels")
     expr, pos = _parse_prefix(tokens, 0)
     if pos != len(tokens):
         raise EquationError(f"trailing input after position {pos}: {tokens[pos]!r}")
@@ -495,7 +524,26 @@ class _InfixParser:
 
 def parse_equation_infix(text: str) -> Equation:
     """Parse ``2x + 1 = 7`` style input; coefficients may be implicit."""
-    return _InfixParser(_tokenize_infix(text)).parse_equation()
+    tokens = _tokenize_infix(text)
+    if _too_deep(tokens):
+        raise EquationError(f"input nests deeper than {MAX_NESTING} levels")
+    e = _InfixParser(tokens).parse_equation()
+    if _depth(e) > MAX_NESTING:  # a long chain like 1 + 1 + ... needs no parentheses
+        raise EquationError(f"input nests deeper than {MAX_NESTING} levels")
+    return e
+
+
+def _depth(e: Expr) -> int:
+    """Tree levels above ``e``'s deepest leaf, counted without recursion."""
+    deepest, stack = 0, [(e, 0)]
+    while stack:
+        t, d = stack.pop()
+        if type(t) is Node:
+            stack.append((t.left, d + 1))
+            stack.append((t.right, d + 1))
+        elif d > deepest:
+            deepest = d
+    return deepest
 
 
 def render_infix(e: Expr) -> str:

@@ -153,7 +153,15 @@ class Library:
                 tint_entries.append((kind, p, p.log_weight, ctxs, key))
 
         def normalize(entries):
-            total = math.log(sum(math.exp(w) for _, _, w, _, _ in entries))
+            try:
+                mass = sum(math.exp(w) for _, _, w, _, _ in entries)
+            except OverflowError:
+                mass = math.inf
+            if not 0.0 < mass < math.inf:
+                raise GrammarError(
+                    "production weights overflow or underflow when normalized"
+                )
+            total = math.log(mass)
             return [
                 Candidate(kind, payload, w - total, ctxs, key)
                 for kind, payload, w, ctxs, key in entries
@@ -242,9 +250,11 @@ class Library:
     def from_dict(cls, d: dict) -> "Library":
         """Inverse of to_dict; GrammarError for anything else."""
         _check_fields(d, "checkpoint", _CHECKPOINT_FIELDS)
+        _check_finite(d["var_log_weight"], "var_log_weight")
         lib = cls([], var_log_weight=d["var_log_weight"], iteration=d["iteration"])
         for pd in d["productions"]:
             _check_fields(pd, "checkpoint production", _PRODUCTION_FIELDS)
+            _check_finite(pd["log_weight"], f"log_weight of {pd['name']!r}")
             if pd["kind"] not in ("primitive", "abstraction"):
                 raise GrammarError(f"unknown production kind {pd['kind']!r} in checkpoint")
             if pd["kind"] == "primitive":
@@ -258,7 +268,14 @@ class Library:
                 body = parse_program(pd["body"], lib)
                 a = Abstraction(body, name=pd["name"],
                                 origin_iteration=pd.get("origin_iteration", 0))
-                lib.productions.append(Production(a, a.type, pd["log_weight"]))
+                prod = Production(a, a.type, pd["log_weight"])
+                if len(prod.arg_types()) != a.arity:
+                    # the search and apply_abstraction pass exactly arity arguments
+                    raise GrammarError(
+                        f"abstraction {pd['name']!r} in checkpoint returns a function;"
+                        " its lambdas must bind every argument its type takes"
+                    )
+                lib.productions.append(prod)
         declared = {pd["name"]: pd["type"] for pd in d["productions"]}
         for p in lib.productions:
             if render_type(p.type) != declared[p.name]:
@@ -287,6 +304,13 @@ def _check_fields(d, what: str, fields: dict) -> None:
             raise GrammarError(
                 f"{what} field {key!r} has a value of type {type(d[key]).__name__}"
             )
+
+
+def _check_finite(weight, what: str) -> None:
+    # JSON reads Infinity, -Infinity, NaN and 1e400 as non-finite floats; an
+    # int is finite, and one too large for a float fails normalization
+    if isinstance(weight, float) and not math.isfinite(weight):
+        raise GrammarError(f"checkpoint {what} is {weight}, not a finite number")
 
 
 def production_counts(programs: Iterable[Term]) -> tuple[dict, int]:

@@ -1,9 +1,9 @@
 """Equation-rewriting primitives.
 
-Every equation-valued primitive has the same shape: it takes an equation and
-a pre-order subtree index, and returns a new equation.  Transformations are
-pure; on any precondition failure they raise PrimitiveError rather than
-returning a sentinel.
+Every equation-valued primitive takes an equation and a pre-order subtree
+index and returns a new equation.  Transformations are pure; where a
+primitive does not apply it raises PrimitiveError rather than returning a
+sentinel.
 
 The arithmetic group (add/sub/mult/div) applies an operation with a copied
 subtree to both sides.  The structural group (rotations, swap, dist,
@@ -12,20 +12,26 @@ a fixpoint, and the identity group (addzero/subzero/multone/divone) inserts
 a neutral element, which is occasionally needed to expose structure for the
 other rules.
 
-Shape preconditions.  SHAPE_PRECONDITIONS maps every primitive to a
-predicate over the subtree at the index, the '=' root included.  Each
-primitive calls its own predicate and raises PrimitiveError when it fails,
-so the rules are written once; a caller holding the subtree (the chain
-search, which lists a state's subtrees once per state) can test the
-predicate and skip a call that would raise.  A predicate states a necessary
-condition only: when it rejects a subtree the primitive raises, but when it
-accepts one the primitive may still raise on a check the predicate leaves
-out, such as dist's shared factor or simplify's zero denominator.
+One table, RULES, holds each primitive once, as a Rule: a shape predicate
+over the subtree y at the index, the '=' root included, and a rewrite that
+gets (e, i, y) and returns the new equation.  apply_primitive is the one
+checked path through it: it checks that e is '='-rooted and i in range,
+descends to y once, tests the shape, then rewrites.
+EQUATION_PRIMITIVES[name](e, i) is apply_primitive with the name bound.
+
+A caller that already holds the subtree (the chain search, which lists a
+state's subtrees once per state) can test RULES[name].shape itself and
+skip a call that would raise.  A shape states a necessary condition only:
+when it rejects y the primitive raises, but when it accepts y the rewrite
+may still raise on a check the shape leaves out, such as dist's shared
+factor or simplify's zero denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .equations import (
     ONE,
@@ -46,17 +52,14 @@ class PrimitiveError(Exception):
     """A primitive was applied where its precondition does not hold."""
 
 
+class Rule(NamedTuple):
+    shape: Callable[[Expr], bool]  # necessary condition on the subtree y
+    rewrite: Callable[[Equation, int, Expr], Equation]  # (e, i, y) -> equation
+
+
 _ADDITIVE = ("+", "-")
 _OP_CLASS = {"+": 0, "-": 0, "*": 1, "/": 1}
 _FLIP = {"+": "-", "-": "+", "*": "/", "/": "*"}
-
-
-def _subtree(e: Equation, i: int) -> Expr:
-    if type(e) is not Node or e.op != "=":
-        raise PrimitiveError("primitives operate on '='-rooted equations")
-    if i < 0 or i >= e.size:
-        raise PrimitiveError(f"index {i} out of range for {e.size} nodes")
-    return _descend(e, i)
 
 
 def _eq_free(y: Expr) -> bool:
@@ -65,44 +68,16 @@ def _eq_free(y: Expr) -> bool:
     return type(y) is not Node or y.op != "="
 
 
-def _eq_free_subtree(e: Equation, i: int) -> Expr:
-    y = _subtree(e, i)
-    if not _eq_free(y):
-        raise PrimitiveError("operand subtree may not contain '='")
-    return y
-
-
-def _replace(e: Equation, i: int, r: Expr) -> Equation:
-    """replace_subtree for an index _subtree accepted.  Every rule builds an
-    '='-rooted replacement at the root and an '='-free one below it."""
-    if i == 0:
-        return r
-    return _splice(e, i, r)
+def _any_subtree(y: Expr) -> bool:
+    return True
 
 
 # --- arithmetic on both sides ----------------------------------------------
 
 
-def _apply_both_sides(op: str, e: Equation, i: int) -> Equation:
-    y = _eq_free_subtree(e, i)
-    return _node("=", _node(op, e.left, y), _node(op, e.right, y))
-
-
-def op_add(e: Equation, i: int) -> Equation:
-    """(= L R) -> (= (+ L y) (+ R y)) for y the subtree at i."""
-    return _apply_both_sides("+", e, i)
-
-
-def op_sub(e: Equation, i: int) -> Equation:
-    return _apply_both_sides("-", e, i)
-
-
-def op_mult(e: Equation, i: int) -> Equation:
-    return _apply_both_sides("*", e, i)
-
-
-def op_div(e: Equation, i: int) -> Equation:
-    return _apply_both_sides("/", e, i)
+def _both_sides(op: str):
+    """(= L R) -> (= (op L y) (op R y)) for y the subtree at i."""
+    return lambda e, i, y: _node("=", _node(op, e.left, y), _node(op, e.right, y))
 
 
 def new_const_gen(a: int, b: int, c: int) -> int:
@@ -121,6 +96,17 @@ def _rrotate_shape(y: Expr) -> bool:
     return c1 is not None and c1 == _OP_CLASS.get(y.left.op)
 
 
+def _rrotate(e: Equation, i: int, y: Node) -> Equation:
+    """((a o2 b) o1 c) -> (a o2 (b o3 c)); o3 is o1, flipped when o2 inverts.
+
+    Both operators must come from the same class (additive or
+    multiplicative) so the rewrite preserves value.
+    """
+    o1, o2 = y.op, y.left.op
+    o3 = o1 if o2 in ("+", "*") else _FLIP[o1]
+    return _splice(e, i, _node(o2, y.left.left, _node(o3, y.left.right, y.right)))
+
+
 def _lrotate_shape(y: Expr) -> bool:
     """(a o1 (b o2 c)) with o1 and o2 from one class."""
     if type(y) is not Node or type(y.right) is not Node:
@@ -129,42 +115,20 @@ def _lrotate_shape(y: Expr) -> bool:
     return c1 is not None and c1 == _OP_CLASS.get(y.right.op)
 
 
-def op_rrotate(e: Equation, i: int) -> Equation:
-    """((a o2 b) o1 c) -> (a o2 (b o3 c)); o3 is o1, flipped when o2 inverts.
-
-    Both operators must come from the same class (additive or
-    multiplicative) so the rewrite preserves value.
-    """
-    y = _subtree(e, i)
-    if not _rrotate_shape(y):
-        raise PrimitiveError("right rotation needs ((a o2 b) o1 c), o1 and o2 of one class")
-    o1, o2 = y.op, y.left.op
-    o3 = o1 if o2 in ("+", "*") else _FLIP[o1]
-    a, b, c = y.left.left, y.left.right, y.right
-    return _replace(e, i, _node(o2, a, _node(o3, b, c)))
-
-
-def op_lrotate(e: Equation, i: int) -> Equation:
+def _lrotate(e: Equation, i: int, y: Node) -> Equation:
     """(a o1 (b o2 c)) -> ((a o1 b) o3 c); o3 is o2, flipped when o1 inverts."""
-    y = _subtree(e, i)
-    if not _lrotate_shape(y):
-        raise PrimitiveError("left rotation needs (a o1 (b o2 c)), o1 and o2 of one class")
     o1, o2 = y.op, y.right.op
     o3 = o2 if o1 in ("+", "*") else _FLIP[o2]
-    a, b, c = y.left, y.right.left, y.right.right
-    return _replace(e, i, _node(o3, _node(o1, a, b), c))
+    return _splice(e, i, _node(o3, _node(o1, y.left, y.right.left), y.right.right))
 
 
 def _swap_shape(y: Expr) -> bool:
     return type(y) is Node and y.op in ("+", "*", "=")
 
 
-def op_swap(e: Equation, i: int) -> Equation:
+def _swap(e: Equation, i: int, y: Node) -> Equation:
     """Exchange the children of a commutative node ('+', '*' or '=')."""
-    y = _subtree(e, i)
-    if not _swap_shape(y):
-        raise PrimitiveError("swap needs a '+', '*' or '=' node")
-    return _replace(e, i, _node(y.op, y.right, y.left))
+    return _splice(e, i, _node(y.op, y.right, y.left))
 
 
 # --- distributivity ----------------------------------------------------------
@@ -189,16 +153,13 @@ def _dist_shape(y: Expr) -> bool:
     )
 
 
-def op_dist(e: Equation, i: int) -> Equation:
+def _dist(e: Equation, i: int, y: Node) -> Equation:
     """Factor a shared multiplicand out of a sum or difference of products.
 
     ((b*f) +/- (c*f)) -> ((b +/- c) * f) and ((f*b) +/- (f*c)) ->
     (f * (b +/- c)); the shared factor must sit in the same position on both
     sides and match syntactically.
     """
-    y = _subtree(e, i)
-    if not _dist_shape(y):
-        raise PrimitiveError("dist needs a '+' or '-' of two products")
     u = _as_product(y.left)
     v = _as_product(y.right)
     if u.right == v.right:
@@ -207,7 +168,7 @@ def op_dist(e: Equation, i: int) -> Equation:
         factored = _node("*", u.left, _node(y.op, u.right, v.right))
     else:
         raise PrimitiveError("no shared factor in matching position")
-    return _replace(e, i, factored)
+    return _splice(e, i, factored)
 
 
 def _is_sum(t: Expr) -> bool:
@@ -219,17 +180,14 @@ def _revdist_shape(y: Expr) -> bool:
     return type(y) is Node and y.op == "*" and (_is_sum(y.right) or _is_sum(y.left))
 
 
-def op_revdist(e: Equation, i: int) -> Equation:
+def _revdist(e: Equation, i: int, y: Node) -> Equation:
     """Expand a product over a sum or difference, preserving factor position."""
-    y = _subtree(e, i)
-    if not _revdist_shape(y):
-        raise PrimitiveError("revdist needs a '*' node with a sum or difference operand")
     f, s = y.left, y.right
     if _is_sum(s):
         expanded = _node(s.op, _node("*", f, s.left), _node("*", f, s.right))
     else:
         expanded = _node(f.op, _node("*", f.left, s), _node("*", f.right, s))
-    return _replace(e, i, expanded)
+    return _splice(e, i, expanded)
 
 
 # --- simplify ----------------------------------------------------------------
@@ -278,11 +236,7 @@ def _simp(t: Expr) -> Expr:
     return _node(op, left, right)
 
 
-def _any_subtree(y: Expr) -> bool:
-    return True
-
-
-def op_simplify(e: Equation, i: int) -> Equation:
+def _simplify(e: Equation, i: int, y: Expr) -> Equation:
     """Normalize the subtree at i to a fixpoint of the local rules.
 
     Rules, applied bottom-up: constant folding (division reduces by gcd and
@@ -290,75 +244,50 @@ def op_simplify(e: Equation, i: int) -> Equation:
     A/1 -> A, A-A -> 0, A*0 -> 0 and A/A -> 1 for A containing x.  A
     subtree already in normal form comes back unchanged.
     """
-    y = _subtree(e, i)
     s = _simp(y)
-    if s is y:
-        return e
-    return _replace(e, i, s)
+    return e if s is y else _splice(e, i, s)
 
 
 # --- identity insertion -------------------------------------------------------
 
 
-def op_addzero(e: Equation, i: int) -> Equation:
-    """y -> (+ y 0)."""
-    return _replace(e, i, _node("+", _eq_free_subtree(e, i), ZERO))
+def _insert(op: str, unit: Const):
+    """y -> (op y unit)."""
+    return lambda e, i, y: _splice(e, i, _node(op, y, unit))
 
 
-def op_subzero(e: Equation, i: int) -> Equation:
-    """y -> (- y 0)."""
-    return _replace(e, i, _node("-", _eq_free_subtree(e, i), ZERO))
-
-
-def op_multone(e: Equation, i: int) -> Equation:
-    """y -> (* y 1)."""
-    return _replace(e, i, _node("*", _eq_free_subtree(e, i), ONE))
-
-
-def op_divone(e: Equation, i: int) -> Equation:
-    """y -> (/ y 1)."""
-    return _replace(e, i, _node("/", _eq_free_subtree(e, i), ONE))
-
-
-EQUATION_PRIMITIVES = {
-    "add": op_add,
-    "sub": op_sub,
-    "mult": op_mult,
-    "div": op_div,
-    "lrotate": op_lrotate,
-    "rrotate": op_rrotate,
-    "swap": op_swap,
-    "dist": op_dist,
-    "revdist": op_revdist,
-    "simplify": op_simplify,
-    "addzero": op_addzero,
-    "subzero": op_subzero,
-    "multone": op_multone,
-    "divone": op_divone,
-}
-
-
-SHAPE_PRECONDITIONS = {
-    "add": _eq_free,
-    "sub": _eq_free,
-    "mult": _eq_free,
-    "div": _eq_free,
-    "lrotate": _lrotate_shape,
-    "rrotate": _rrotate_shape,
-    "swap": _swap_shape,
-    "dist": _dist_shape,
-    "revdist": _revdist_shape,
-    "simplify": _any_subtree,
-    "addzero": _eq_free,
-    "subzero": _eq_free,
-    "multone": _eq_free,
-    "divone": _eq_free,
+RULES = {
+    "add": Rule(_eq_free, _both_sides("+")),
+    "sub": Rule(_eq_free, _both_sides("-")),
+    "mult": Rule(_eq_free, _both_sides("*")),
+    "div": Rule(_eq_free, _both_sides("/")),
+    "lrotate": Rule(_lrotate_shape, _lrotate),
+    "rrotate": Rule(_rrotate_shape, _rrotate),
+    "swap": Rule(_swap_shape, _swap),
+    "dist": Rule(_dist_shape, _dist),
+    "revdist": Rule(_revdist_shape, _revdist),
+    "simplify": Rule(_any_subtree, _simplify),
+    "addzero": Rule(_eq_free, _insert("+", ZERO)),
+    "subzero": Rule(_eq_free, _insert("-", ZERO)),
+    "multone": Rule(_eq_free, _insert("*", ONE)),
+    "divone": Rule(_eq_free, _insert("/", ONE)),
 }
 
 
 def apply_primitive(name: str, e: Equation, i: int) -> Equation:
+    """The primitive ``name`` applied at pre-order index ``i`` of ``e``."""
     try:
-        fn = EQUATION_PRIMITIVES[name]
+        shape, rewrite = RULES[name]
     except KeyError:
         raise PrimitiveError(f"unknown primitive {name!r}") from None
-    return fn(e, i)
+    if type(e) is not Node or e.op != "=":
+        raise PrimitiveError("primitives operate on '='-rooted equations")
+    if i < 0 or i >= e.size:
+        raise PrimitiveError(f"index {i} out of range for {e.size} nodes")
+    y = _descend(e, i)
+    if not shape(y):
+        raise PrimitiveError(f"{name} does not apply to the subtree at index {i}")
+    return rewrite(e, i, y)
+
+
+EQUATION_PRIMITIVES = {name: partial(apply_primitive, name) for name in RULES}

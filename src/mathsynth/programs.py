@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .equations import Equation, Node, is_equation, render_prefix
+from .equations import MAX_NESTING, Equation, Node, _too_deep, is_equation, render_prefix
 from .primitives import EQUATION_PRIMITIVES, PrimitiveError, new_const_gen
 
 TSTR = "tstr"
@@ -71,6 +71,10 @@ def is_arrow(t) -> bool:
 
 
 def render_type(t) -> str:
+    """``tstr -> tint -> tstr``; a type variable, an int during inference,
+    renders as ``t<n>``."""
+    if type(t) is int:
+        return f"t{t}"
     if not is_arrow(t):
         return t
     lhs = render_type(t[1])
@@ -235,38 +239,36 @@ def _tokenize_program(text: str) -> list[str]:
 def parse_program(text: str, lib=None) -> Term:
     """Parse s-expression program text.
 
-    ``lib`` may be a Library, a dict of name -> Abstraction, or None.  An
-    inline ``#(lambda ...)`` is matched against the library by body when one
-    is given, so it keeps its name; otherwise it parses as an anonymous
+    ``lib`` may be a Library, an iterable of Abstractions, or None.  A name
+    token resolves to the library's abstraction of that name; an inline
+    ``#(lambda ...)`` is matched against the library by body when one is
+    given, so it keeps its name, and otherwise parses as an anonymous
     abstraction.
     """
     abstractions = _abstraction_index(lib)
     tokens = _tokenize_program(text)
     if not tokens:
         raise ProgramError("empty program text")
+    if _too_deep(tokens):
+        raise ProgramError(f"program text nests deeper than {MAX_NESTING} levels")
     term, pos = _parse_term(tokens, 0, 0, abstractions)
     if pos != len(tokens):
         raise ProgramError(f"trailing input: {tokens[pos]!r}")
     return term
 
 
-def _abstraction_index(lib) -> dict:
+def _abstraction_index(lib) -> tuple[dict, dict]:
+    """(by name, by body) maps over the abstractions of ``lib``."""
     if lib is None:
-        return {}
-    if hasattr(lib, "abstractions"):
-        items = lib.abstractions()
-    elif isinstance(lib, dict):
-        items = lib.values()
-    else:
-        items = list(lib)
-    by_name = {}
-    by_body = {}
-    for a in items:
+        lib = ()
+    elif hasattr(lib, "abstractions"):
+        lib = lib.abstractions()
+    by_name, by_body = {}, {}
+    for a in lib:
         if a.name:
             by_name[a.name] = a
         by_body[a.body] = a
-    by_name["__bodies__"] = by_body
-    return by_name
+    return by_name, by_body
 
 
 def _parse_term(tokens, pos, depth, abstractions):
@@ -314,8 +316,9 @@ def _parse_term(tokens, pos, depth, abstractions):
         return IntLit(v), pos + 1
     if tok in PRIM_TYPES:
         return Prim(tok), pos + 1
-    if tok in abstractions:
-        return AbsRef(abstractions[tok]), pos + 1
+    by_name = abstractions[0]
+    if tok in by_name:
+        return AbsRef(by_name[tok]), pos + 1
     raise ProgramError(f"unknown primitive {tok!r}")
 
 
@@ -327,7 +330,7 @@ def _parse_inline_abstraction(tokens, pos, abstractions):
     if pos >= len(tokens) or tokens[pos] != ")":
         raise ProgramError("expected ')' after inline abstraction")
     term = Lambda(body)
-    by_body = abstractions.get("__bodies__", {})
+    by_body = abstractions[1]
     found = by_body.get(term)
     return AbsRef(found if found is not None else Abstraction(term)), pos + 1
 
@@ -401,15 +404,7 @@ def _unify(a, b, subst):
         _unify(a[1], b[1], subst)
         _unify(a[2], b[2], subst)
         return
-    raise ProgramError(f"type mismatch: {render_type_safe(a)} vs {render_type_safe(b)}")
-
-
-def render_type_safe(t) -> str:
-    if type(t) is int:
-        return f"t{t}"
-    if is_arrow(t):
-        return f"({render_type_safe(t[1])} -> {render_type_safe(t[2])})"
-    return t
+    raise ProgramError(f"type mismatch: {render_type(a)} vs {render_type(b)}")
 
 
 def _default_free(t):
@@ -571,16 +566,12 @@ def _compile(term, rec: Optional[list] = None):
     return recorded
 
 
-def apply_abstraction(a: Abstraction, args):
-    """Run an abstraction on fully evaluated argument values."""
+def apply_abstraction(a: Abstraction, args: tuple):
+    """Run an abstraction on exactly ``a.arity`` evaluated argument values,
+    in call order."""
     global _steps
     _steps = 0
-    if len(args) == a.arity:
-        return a.run(tuple(args))
-    val = _curried(a.run, a.arity)
-    for arg in args:
-        val = _apply(val, arg)
-    return val
+    return a.run(args)
 
 
 def evaluate(p: Term, input_equation: Equation, trace: bool = False):
@@ -593,7 +584,7 @@ def evaluate(p: Term, input_equation: Equation, trace: bool = False):
     global _steps
     t = infer_type(p)
     if t != arrow(TSTR, TSTR):
-        raise EvalError(f"program has type {render_type_safe(t)}, expected tstr -> tstr")
+        raise EvalError(f"program has type {render_type(t)}, expected tstr -> tstr")
     rec = [] if trace else None
     _steps = 0
     result = _apply(_compile(p, rec)(()), input_equation)

@@ -413,6 +413,7 @@ def scale_run():
     return train, test, result, time.monotonic() - t0
 
 
+@pytest.mark.slow
 def test_06_corpus_covers_required_shapes(scale_run):
     train, test, _, _ = scale_run
     shapes = {template_shape(t.template_id) for t in train + test}
@@ -426,12 +427,14 @@ def test_06_corpus_covers_required_shapes(scale_run):
     )
 
 
+@pytest.mark.slow
 def test_06a_training_accuracy(scale_run):
     _, _, result, _ = scale_run
     rate = result.curve[-1]["train_rate"]
     report("scaled run: training accuracy >= 0.80", rate >= 0.80, f"{rate:.3f}")
 
 
+@pytest.mark.slow
 def test_06b_heldout_accuracy(scale_run):
     _, _, result, _ = scale_run
     rate = result.curve[-1]["test_rate"]
@@ -448,6 +451,7 @@ def _abstraction_names(term):
     return set()
 
 
+@pytest.mark.slow
 def test_06c_abstraction_reuse(scale_run):
     _, _, result, _ = scale_run
     counts = {}
@@ -462,6 +466,7 @@ def test_06c_abstraction_reuse(scale_run):
     )
 
 
+@pytest.mark.slow
 def test_06d_conciseness_does_not_regress(scale_run):
     # compared over the tasks already solved at iteration 1, so the measure
     # is not skewed by harder tasks entering the solved set later
@@ -478,11 +483,13 @@ def test_06d_conciseness_does_not_regress(scale_run):
     )
 
 
+@pytest.mark.slow
 def test_06_runtime(scale_run):
     _, _, _, elapsed = scale_run
     report("scaled run: completes in under 30 minutes", elapsed < 1800.0, f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_07_every_solved_task_generalizes_to_20_reinstantiations(scale_run):
     _, _, result, _ = scale_run
     failures = []

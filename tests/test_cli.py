@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 from fractions import Fraction
 
 import pytest
@@ -253,8 +254,26 @@ _UNKNOWN_PRIMITIVE = {
 }
 
 
+def _with_abstraction(body: str, type_: str) -> dict:
+    doc = Library.initial().to_dict()
+    doc["productions"].append(
+        {"kind": "abstraction", "name": "fn_0", "type": type_, "log_weight": 0.0,
+         "body": body, "origin_iteration": 1}
+    )
+    return doc
+
+
 @pytest.mark.parametrize(
-    "checkpoint", [{}, [], None, _UNKNOWN_PRIMITIVE], ids=["empty", "list", "null", "unknown"]
+    "checkpoint",
+    [
+        {},
+        [],
+        None,
+        _UNKNOWN_PRIMITIVE,
+        _with_abstraction("(lambda (__bodies__ $0))", "tstr -> tstr"),
+        _with_abstraction("(lambda (swap $0))", "tstr -> tint -> tstr"),
+    ],
+    ids=["empty", "list", "null", "unknown", "not-a-name", "returns-function"],
 )
 def test_malformed_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys, checkpoint):
     path = tmp_path / "bad.json"
@@ -293,3 +312,62 @@ def test_malformed_solutions_file_is_an_error_not_a_traceback(
     assert err.startswith(f"error: {path}: ")
     if solutions is not None:
         assert "'t/0'" in err
+
+
+def _weighted_checkpoint(weight: float, names) -> dict:
+    doc = Library.initial().to_dict()
+    for p in doc["productions"]:
+        if p["name"] in names:
+            p["log_weight"] = weight
+    if "$0" in names:
+        doc["var_log_weight"] = weight
+    return doc
+
+
+_EQUATION_PRODUCTIONS = ["$0", *(p.name for p in Library.initial().productions)]
+
+
+@pytest.mark.parametrize(
+    "checkpoint, message",
+    [
+        (_weighted_checkpoint(1000.0, ["add"]), "overflow or underflow"),
+        (_weighted_checkpoint(-1000.0, _EQUATION_PRODUCTIONS), "overflow or underflow"),
+        (_weighted_checkpoint(math.inf, ["add"]), "not a finite number"),
+    ],
+    ids=["overflow", "underflow", "infinity"],
+)
+def test_bad_checkpoint_weights_are_an_error(tmp_path, capsys, checkpoint, message):
+    tasks = tmp_path / "tasks.jsonl"
+    save_tasks(str(tasks), [Task("t/0", "t", parse_prefix("(= (+ x 1) 3)"), Fraction(2))])
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(checkpoint))  # math.inf is written as Infinity
+    rc = main(["solve", "--tasks", str(tasks), "--library", str(path),
+               "--budget-expansions", "100"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+_DEEP_EQUATION = "(= " + "(+ " * 1_200 + "x" + " 1)" * 1_200 + " 3)"
+_DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("solve", json.dumps({"equation": _DEEP_EQUATION, "goal": "3", "id": "t/0",
+                              "template_id": "t"})),
+        ("solve", _DEEP_JSON),
+        ("score", _DEEP_JSON),
+        ("library", _DEEP_JSON),
+    ],
+    ids=["deep-equation", "deep-json-tasks", "deep-json-solutions", "deep-json-checkpoint"],
+)
+def test_input_nested_too_deep_is_an_error_not_a_traceback(tmp_path, capsys, command, text):
+    path = tmp_path / "deep"
+    path.write_text(text + "\n")
+    flag = {"solve": "--tasks", "score": "--solutions", "library": "--checkpoint"}[command]
+    rc = main([command, flag, str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "nests" in err

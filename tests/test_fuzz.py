@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from mathsynth.corpus import CorpusError, load_corpus, load_solutions, make_task
 from mathsynth.equations import (
+    MAX_NESTING,
     EquationError,
     parse_equation_infix,
     parse_prefix,
@@ -24,7 +25,8 @@ from mathsynth.equations import (
     render_prefix,
 )
 from mathsynth.grammar import GrammarError, Library, fit_grammar
-from mathsynth.programs import ProgramError, parse_program, render_program
+from mathsynth.primitives import apply_primitive
+from mathsynth.programs import ProgramError, evaluate, parse_program, render_program
 
 
 def _token_text(tokens):
@@ -134,6 +136,37 @@ def test_program_codec_raises_only_program_error(text):
         return
     assert parse_program(render_program(p, named=True), lib) == p
     assert parse_program(render_program(p)) == p
+
+
+def _nested(open_, leaf, close, depth):
+    return open_ * depth + leaf + close * depth
+
+
+@pytest.mark.parametrize(
+    "parse, text, error",
+    [
+        (parse_prefix, _nested("(+ ", "x", " 1)", 1_200), EquationError),
+        (parse_equation_infix, _nested("(", "x", ")", 1_200) + " = 3", EquationError),
+        (parse_equation_infix, "x" + " + 1" * 1_200 + " = 3", EquationError),
+        (parse_program, _nested("(lambda ", _nested("(swap ", "$0", " 1)", 1_200), ")", 1),
+         ProgramError),
+    ],
+    ids=["prefix", "infix-parentheses", "infix-chain", "program"],
+)
+def test_input_nested_too_deep_raises_the_codec_error(parse, text, error):
+    """The tree walks recurse once per level, so deep input is refused at
+    parse time instead of ending in a RecursionError later."""
+    with pytest.raises(error, match="nests deeper"):
+        parse(text)
+
+
+def test_input_at_the_nesting_bound_parses_and_runs():
+    d = MAX_NESTING - 1  # the '=' root and the lambda take one level each
+    eq = parse_prefix("(= " + _nested("(+ ", "x", " 1)", d) + " 3)")
+    assert parse_equation_infix(render_infix(eq)) == eq
+    program = parse_program(_nested("(lambda ", _nested("(swap ", "$0", " 1)", d), ")", 1))
+    assert evaluate(program, eq)[0] == apply_primitive("swap", eq, 1)  # d is odd
+    assert parse_program(render_program(program)) == program
 
 
 @given(st.one_of(JSON, mutated(CHECKPOINT)))

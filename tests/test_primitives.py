@@ -23,7 +23,7 @@ from mathsynth.equations import (
 )
 from mathsynth.primitives import (
     EQUATION_PRIMITIVES,
-    SHAPE_PRECONDITIONS,
+    RULES,
     PrimitiveError,
     apply_primitive,
     new_const_gen,
@@ -172,15 +172,17 @@ def test_truth_preservation(e, name, i):
 @given(equations(), st.sampled_from(sorted(EQUATION_PRIMITIVES)), st.data())
 @settings(max_examples=500)
 def test_shape_preconditions_are_necessary(e, name, data):
-    """The chain search skips an action whose subtree a predicate rejects,
-    so a rejected subtree must make the primitive raise.  Indices past the
+    """The chain search skips an action whose subtree a rule's shape
+    rejects, so a rejected subtree must make the primitive raise, whether
+    it is called by name or through EQUATION_PRIMITIVES.  Indices past the
     last subtree have no subtree to test; the primitive raises on them."""
-    assert set(SHAPE_PRECONDITIONS) == set(EQUATION_PRIMITIVES)
     i = data.draw(st.integers(0, e.size + 1))
-    if i < e.size and SHAPE_PRECONDITIONS[name](subtree_at(e, i)):
+    if i < e.size and RULES[name].shape(subtree_at(e, i)):
         return
     with pytest.raises(PrimitiveError):
         apply_primitive(name, e, i)
+    with pytest.raises(PrimitiveError):
+        EQUATION_PRIMITIVES[name](e, i)
 
 
 def _rebuilt(e):

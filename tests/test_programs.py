@@ -23,6 +23,7 @@ from mathsynth.programs import (
     parse_program,
     program_cost,
     render_program,
+    render_type,
     spine,
 )
 
@@ -41,6 +42,18 @@ def test_unbound_de_bruijn_ref():
 def test_unknown_primitive_name():
     with pytest.raises(ProgramError):
         parse_program("(lambda (negate $0 1))")
+
+
+def test_names_resolve_to_abstraction_names_only():
+    a = Abstraction(parse_program("(lambda (sub $0 5))"), name="fn_0")
+    assert parse_program("(lambda (fn_0 $0))", [a]) == Lambda(Apply(AbsRef(a), VarRef(0)))
+    with pytest.raises(ProgramError):
+        parse_program("(lambda (__bodies__ $0))", [a])
+
+
+def test_render_type_names_type_variables():
+    assert render_type(arrow(TSTR, TINT, TSTR)) == "tstr -> tint -> tstr"
+    assert render_type(arrow(arrow(TSTR, 2), 1)) == "(tstr -> t2) -> t1"
 
 
 def test_typecheck_examples():
