@@ -162,7 +162,7 @@ def cmd_solve(args) -> int:
     solutions, programs, rows = {}, {}, []
     for task in tasks:
         found, stats = solve_task_with_stats(task, lib, budget, k=1)
-        if stats.get("timed_out"):
+        if stats["stop"] == "timeout":
             log.warning(
                 "search for task %s hit the wall timeout after %d expansions",
                 task.id,

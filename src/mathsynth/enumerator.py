@@ -38,13 +38,29 @@ Duplicate states are found by identity.  A search opens an equation intern
 table for its length (equations.open_table) and interns the task's input,
 so every state it builds is made of interned nodes: a state reached again
 is the very object stored among the visited states, and the lookup hits
-without comparing trees node by node.  The table is closed when the search
-returns or raises, so it never outlives one search, and each --jobs worker
-has its own.
+without comparing trees node by node.  The table carries a simplify memo
+too, so a subtree the search simplifies again is looked up, not normalized
+again.  The table is closed when the search returns or raises, so it never
+outlives one search, and each --jobs worker has its own.
+
+The cyclic garbage collector is paused for the length of a search.  A
+search makes no reference cycles: its states, cursors and table are freed
+by reference counting when it ends.  But it allocates hundreds of thousands
+of long-lived objects, and every collection would walk them all and free
+nothing.  The collector is turned back on after the table is closed, and
+only if it was on before, whether the search returns or raises.
+
+The stats a search returns count its work (expansions, states, solutions)
+and say why it ended: stop is "k" when it found k programs, "patience" or
+"budget" when it spent the expansions it was allowed after its first
+solution or in all, "timeout" when the wall clock ran out, and "frontier"
+when no cursor was left within max_program_cost.  first_solution is the
+expansion count at the first program found, or None.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 from dataclasses import dataclass
@@ -81,6 +97,12 @@ class SearchBudget:
     max_expansions: int = 50_000
     wall_timeout: float = 1000.0
     max_program_cost: int = 10_000
+
+    def __post_init__(self):
+        if self.max_expansions < 0 or self.max_program_cost < 0:
+            raise ValueError("max_expansions and max_program_cost must be >= 0")
+        if not self.wall_timeout >= 0:  # NaN compares false too
+            raise ValueError(f"wall_timeout must be >= 0 seconds, not {self.wall_timeout}")
 
 
 def _candidate_head(c) -> Term:
@@ -170,10 +192,14 @@ def solve_task_with_stats(
     expansions, not time).
     """
     previous = open_table()
+    gc_was_on = gc.isenabled()
+    gc.disable()
     try:
         return _chain_search(task, lib, budget, k, patience)
     finally:
         close_table(previous)
+        if gc_was_on:
+            gc.enable()
 
 
 def _chain_search(task, lib, budget, k, patience):
@@ -185,8 +211,10 @@ def _chain_search(task, lib, budget, k, patience):
 
     root_eq = intern(task.input)
     root = _ChainNode(root_eq, var_logp, 101, None, None, 0)
+    first_solution = None
     if check_solved(root_eq) == task.goal:
         found.append((Lambda(VarRef(0)), var_logp))
+        first_solution = 0
         if patience is not None:
             cutoff = min(cutoff, patience)
 
@@ -244,6 +272,8 @@ def _chain_search(task, lib, budget, k, patience):
             solution = check_solved(child_eq)
             if solution is not None and solution == task.goal:
                 found.append((_rebuild_program(child), child.logp))
+                if first_solution is None:
+                    first_solution = expansions
                 if patience is not None:
                     cutoff = min(cutoff, expansions + patience)
             cursor = first_cursor(child)
@@ -262,13 +292,23 @@ def _chain_search(task, lib, budget, k, patience):
                 push(frontier, cursor)
                 node = None
 
+    if timed_out:
+        stop = "timeout"
+    elif len(found) >= k:
+        stop = "k"
+    elif node is None and not frontier:
+        stop = "frontier"
+    elif cutoff < budget.max_expansions:
+        stop = "patience"
+    else:
+        stop = "budget"
     stats = {
         "expansions": expansions,
         "states": len(visited),
         "solutions": len(found),
+        "stop": stop,
+        "first_solution": first_solution,
     }
-    if timed_out:
-        stats["timed_out"] = True
     return found, stats
 
 

@@ -15,6 +15,11 @@ reaches again is then put together from nodes that already exist, and its
 lookup among the visited states is an identity hit.  Equality stays
 structural, for trees built outside a search.
 
+An open table also carries a memo for the simplify primitive
+(primitives._simp): the normal form of every node simplify has
+normalized while the table is open.  The memo is opened and dropped with
+the table, and with no table open simplify runs without one.
+
 Two text codecs are provided.  The prefix codec is the canonical wire format:
 fully parenthesized, whitespace separated, e.g. ``(= (+ (* 2 x) 1) 7)``.
 The infix codec accepts human-style strings such as ``2x + 1 = 7`` and
@@ -145,20 +150,25 @@ Equation = Node  # an "="-rooted Node
 # names, so no id in such a key is reused while it is open.
 _nodes: Optional[dict] = None
 _consts: Optional[dict] = None
+# The open table's simplify memo (primitives._simp): node -> its normal
+# form; None when no table is open.  It is keyed by the node itself, not by
+# its id, so it holds every node it names and no key can stand for another
+# node.
+_simp_memo: Optional[dict] = None
 
 
 def open_table() -> tuple:
-    """Open a fresh intern table; returns the one it replaces, for
-    close_table."""
-    global _nodes, _consts
-    previous = (_nodes, _consts)
-    _nodes, _consts = {}, {0: ZERO, 1: ONE}
+    """Open a fresh intern table and simplify memo; returns the ones they
+    replace, for close_table."""
+    global _nodes, _consts, _simp_memo
+    previous = (_nodes, _consts, _simp_memo)
+    _nodes, _consts, _simp_memo = {}, {0: ZERO, 1: ONE}, {}
     return previous
 
 
 def close_table(previous: tuple) -> None:
-    global _nodes, _consts
-    _nodes, _consts = previous
+    global _nodes, _consts, _simp_memo
+    _nodes, _consts, _simp_memo = previous
 
 
 def _node(op: str, left: Expr, right: Expr) -> Node:

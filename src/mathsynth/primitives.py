@@ -25,14 +25,19 @@ skip a call that would raise.  A shape states a necessary condition only:
 when it rejects y the primitive raises, but when it accepts y the rewrite
 may still raise on a check the shape leaves out, such as dist's shared
 factor or simplify's zero denominator.
+
+While an intern table is open (equations.open_table), simplify keeps each
+node's normal form in the table's memo and looks it up before normalizing
+the node again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
+from . import equations
 from .equations import (
     ONE,
     ZERO,
@@ -208,12 +213,32 @@ def _fold(op: str, a: int, b: int) -> Expr:
     return _node("/", _const(q.numerator), _const(q.denominator))
 
 
-def _simp(t: Expr) -> Expr:
-    """Bottom-up normalization; returns t itself when nothing applies."""
-    if type(t) is not Node:
-        return t
-    left = _simp(t.left)
-    right = _simp(t.right)
+def _simp(t: Node, memo: Optional[dict]) -> Expr:
+    """Bottom-up normalization of the node t; returns t itself when nothing
+    applies.
+
+    With a memo (the open table's), each node's normal form is looked up
+    before it is computed and stored after.  A zero denominator raises
+    before anything is stored for the node or the nodes above it, so a
+    failure is never cached and raises again on the next call.
+    """
+    if memo is not None:
+        s = memo.get(t)
+        if s is not None:
+            return s
+    left, right = t.left, t.right
+    s = _simp_rules(
+        t,
+        _simp(left, memo) if type(left) is Node else left,
+        _simp(right, memo) if type(right) is Node else right,
+    )
+    if memo is not None:
+        memo[t] = s
+    return s
+
+
+def _simp_rules(t: Node, left: Expr, right: Expr) -> Expr:
+    """The local rules at t, whose children normalize to left and right."""
     op = t.op
     if op != "=":
         if type(left) is Const and type(right) is Const:
@@ -244,7 +269,9 @@ def _simplify(e: Equation, i: int, y: Expr) -> Equation:
     A/1 -> A, A-A -> 0, A*0 -> 0 and A/A -> 1 for A containing x.  A
     subtree already in normal form comes back unchanged.
     """
-    s = _simp(y)
+    if type(y) is not Node:
+        return e
+    s = _simp(y, equations._simp_memo)
     return e if s is y else _splice(e, i, s)
 
 

@@ -56,6 +56,16 @@ class EvalError(Exception):
     """Runtime failure while executing a program."""
 
 
+class _PrimitiveFailed(EvalError):
+    """A primitive's PrimitiveError, raised as (name, i, e, err).  The
+    message renders the whole equation, so it is built only when read; the
+    chain search discards nearly every one."""
+
+    def __str__(self):
+        name, i, e, err = self.args
+        return f"{name} at index {i} failed on {render_prefix(e)}: {err}"
+
+
 def arrow(*types):
     """Right-nested function type: arrow(a, b, c) == a -> (b -> c)."""
     if len(types) < 2:
@@ -472,9 +482,7 @@ def _run_equation_prim(name: str, e, i):
     try:
         return EQUATION_PRIMITIVES[name](e, i)
     except PrimitiveError as err:
-        raise EvalError(
-            f"{name} at index {i} failed on {render_prefix(e)}: {err}"
-        ) from err
+        raise _PrimitiveFailed(name, i, e, err) from err
 
 
 def _curried(run, arity: int, got: tuple = ()):

@@ -71,6 +71,8 @@ class RunConfig:
             raise TrainingError("bad config numerics")
         if self.jobs < 1:
             raise TrainingError("jobs must be >= 1")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be >= 0, not {self.patience}")
 
 
 @dataclass
@@ -164,7 +166,7 @@ def _wake(tasks, lib, config: RunConfig):
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_solve_one, jobs))
     for task_id, _found, stats in results:
-        if stats.get("timed_out"):
+        if stats["stop"] == "timeout":
             log.warning(
                 "search for task %s hit the wall timeout after %d expansions",
                 task_id,

@@ -6,6 +6,7 @@ here as the oracle: it pushes every cursor on one heap keyed
 ``(-(logp + a_r), seq, r)`` and applies every action it pops.
 """
 
+import gc
 import heapq
 
 import pytest
@@ -41,8 +42,10 @@ def heap_solve(task, lib, budget, k=5, patience=None):
     found = []
     cutoff = budget.max_expansions
     root = _ChainNode(task.input, var_logp, 101, None, None, 0)
+    first_solution = None
     if check_solved(task.input) == task.goal:
         found.append((Lambda(VarRef(0)), var_logp))
+        first_solution = 0
         if patience is not None:
             cutoff = min(cutoff, patience)
     visited = {task.input: True}
@@ -83,10 +86,24 @@ def heap_solve(task, lib, budget, k=5, patience=None):
         )
         if check_solved(child_eq) == task.goal:
             found.append((_rebuild_program(child), child.logp))
+            if first_solution is None:
+                first_solution = expansions
             if patience is not None:
                 cutoff = min(cutoff, expansions + patience)
         push_cursor(child, 0)
-    stats = {"expansions": expansions, "states": len(visited), "solutions": len(found)}
+    if len(found) >= k:
+        stop = "k"
+    elif not heap:
+        stop = "frontier"
+    else:
+        stop = "patience" if cutoff < budget.max_expansions else "budget"
+    stats = {
+        "expansions": expansions,
+        "states": len(visited),
+        "solutions": len(found),
+        "stop": stop,
+        "first_solution": first_solution,
+    }
     return found, stats
 
 
@@ -179,11 +196,32 @@ def test_interrupted_runs_match_single_heap(monkeypatch):
     assert pushed_back
 
 
+def _closed():
+    return mathsynth.equations._nodes is None and mathsynth.equations._simp_memo is None
+
+
 def test_intern_table_closes_when_a_search_returns_or_raises(monkeypatch):
+    """The table and its simplify memo close, and the cyclic GC, paused for
+    the search, is on again exactly when it was on before."""
     task = _task("(= (+ x 4) 6)")
     budget = SearchBudget(max_expansions=2_000)
+    seen = []
+
+    def spy(name, e, i):
+        seen.append(gc.isenabled())
+        return apply_primitive(name, e, i)
+
+    monkeypatch.setattr(mathsynth.enumerator, "apply_primitive", spy)
+    assert gc.isenabled()
     solve_task_with_stats(task, Library.initial(), budget, k=1)
-    assert mathsynth.equations._nodes is None
+    assert _closed() and gc.isenabled()
+    assert seen and not any(seen)
+    gc.disable()
+    try:
+        solve_task_with_stats(task, Library.initial(), budget, k=1)
+        assert _closed() and not gc.isenabled()
+    finally:
+        gc.enable()
 
     def broken(name, e, i):
         raise RuntimeError("broken primitive")
@@ -191,4 +229,4 @@ def test_intern_table_closes_when_a_search_returns_or_raises(monkeypatch):
     monkeypatch.setattr(mathsynth.enumerator, "apply_primitive", broken)
     with pytest.raises(RuntimeError, match="broken primitive"):
         solve_task_with_stats(task, Library.initial(), budget, k=1)
-    assert mathsynth.equations._nodes is None
+    assert _closed() and gc.isenabled()

@@ -160,6 +160,27 @@ def test_solve_warns_when_the_wall_timeout_fires(tmp_path, capsys, caplog):
     assert messages == ["search for task hard/0 hit the wall timeout after 1024 expansions"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--budget-expansions", "-5"], "max_expansions"),
+        (["solve", "--max-cost", "-3"], "max_program_cost"),
+        (["solve", "--timeout-secs", "-1"], "wall_timeout"),
+        (["solve", "--timeout-secs", "nan"], "wall_timeout"),
+        (["train", "--patience", "-1"], "patience"),
+    ],
+    ids=["negative-expansions", "negative-cost", "negative-timeout", "nan-timeout",
+         "negative-patience"],
+)
+def test_a_budget_that_cannot_mean_anything_is_an_error(tmp_path, capsys, argv, message):
+    tasks = tmp_path / "tasks.jsonl"
+    save_tasks(str(tasks), [Task("t/0", "t", parse_prefix("(= (+ x 4) 6)"), Fraction(2))])
+    rc = main(argv[:1] + ["--tasks" if argv[0] == "solve" else "--train", str(tasks)] + argv[1:])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 def test_score_reports_raw_and_dedup_costs(pipeline, tmp_path, capsys):
     _, run_dir, _ = pipeline
     out = tmp_path / "scores.json"

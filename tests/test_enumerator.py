@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from mathsynth.corpus import GoalOracle
 from mathsynth.enumerator import SearchBudget, Task, solve_task, solve_task_with_stats
 from mathsynth.equations import check_solved, parse_prefix
@@ -68,3 +70,50 @@ def test_fitted_grammar_finds_known_shape_faster():
     fitted = fit_grammar(uniform, corpus)
     _, stats_f = solve_task_with_stats(task, fitted, budget, k=1)
     assert stats_f["expansions"] < stats_u["expansions"]
+
+
+@pytest.mark.parametrize(
+    "prefix, budget, k, patience, stop",
+    [
+        ("(= x 4)", SearchBudget(), 1, None, "k"),
+        ("(= x (/ 6 2))", SearchBudget(max_expansions=300_000), 8, 1_000, "patience"),
+        ("(= (+ (* 3 x) (* 4 x)) 9)", SearchBudget(max_expansions=200), 1, None, "budget"),
+        ("(= (+ (* 3 x) (* 4 x)) 9)", SearchBudget(wall_timeout=0.0), 1, None, "timeout"),
+        # 101 for $0 plus 302 for one primitive step: every chain of one step
+        ("(= (+ (* 3 x) (* 4 x)) 9)", SearchBudget(max_program_cost=403), 1, None, "frontier"),
+    ],
+)
+def test_a_search_says_why_it_stopped(prefix, budget, k, patience, stop):
+    found, stats = solve_task_with_stats(_task(prefix), Library.initial(), budget, k, patience)
+    assert stats["stop"] == stop
+    first = stats["first_solution"]
+    assert (first is None) == (not found)
+    if stop == "k":
+        assert stats["expansions"] == first == 0 and len(found) == k
+    elif stop == "patience":
+        assert 0 < first and stats["expansions"] == first + patience and len(found) < k
+    elif stop == "budget":
+        assert stats["expansions"] == budget.max_expansions
+    elif stop == "timeout":
+        assert stats["expansions"] == 1024  # the clock is read every 1024 expansions
+    else:
+        assert stats["expansions"] == 14 * 11  # each primitive at indices 0 to 10
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"max_expansions": -1},
+        {"max_program_cost": -1},
+        {"wall_timeout": -0.5},
+        {"wall_timeout": float("nan")},
+    ],
+)
+def test_a_budget_that_cannot_mean_anything_is_rejected(fields):
+    with pytest.raises(ValueError):
+        SearchBudget(**fields)
+
+
+def test_zero_and_unbounded_budgets_stay_valid():
+    SearchBudget(max_expansions=0, wall_timeout=0.0, max_program_cost=0)
+    SearchBudget(wall_timeout=float("inf"))

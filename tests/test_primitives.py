@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mathsynth.equations
 from mathsynth.equations import (
     Const,
     Node,
@@ -244,6 +245,48 @@ def test_interned_outputs_equal_plain_ones_pinned(text):
     for name in EQUATION_PRIMITIVES:
         for i in range(e.size + 2):
             _check_interned(e, name, i)
+
+
+def _simplify_twice_in_one_table(e, i, interned):
+    """simplify at i twice in one open table, each result or PrimitiveError,
+    and the table's simplify memo after the first call.  With ``interned``,
+    e is interned in the table first, as the chain search does."""
+    previous = open_table()
+    try:
+        if interned:
+            e = intern(e)
+        first = _apply_or_none("simplify", e, i) or PrimitiveError
+        memo = dict(mathsynth.equations._simp_memo)
+        second = _apply_or_none("simplify", e, i) or PrimitiveError
+    finally:
+        close_table(previous)
+    return first, second, memo
+
+
+@given(equations(), st.data())
+@settings(max_examples=300)
+def test_simplify_in_an_open_table_is_simplify_without_one(e, data):
+    """Inside a table, simplify reads and fills the table's memo: its result
+    equals the one without a table, a second call returns the identical
+    object, and the memo holds every node of the subtree it normalized.
+    With no table open there is no memo."""
+    i = data.draw(st.integers(0, e.size - 1))
+    plain = _apply_or_none("simplify", e, i) or PrimitiveError
+    for interned in (False, True):
+        first, second, memo = _simplify_twice_in_one_table(e, i, interned)
+        assert first == plain and second is first
+        if first is not PrimitiveError:
+            y = subtree_at(e, i)
+            assert all(t in memo for t in subtrees(y) if type(t) is Node)
+    assert mathsynth.equations._simp_memo is None
+
+
+@pytest.mark.parametrize("interned", [False, True])
+def test_a_zero_denominator_under_simplify_raises_on_every_call_in_a_table(interned):
+    e = P("(= (/ 3 (- 1 1)) x)")
+    first, second, memo = _simplify_twice_in_one_table(e, 1, interned)
+    assert first is second is PrimitiveError
+    assert subtree_at(e, 3) in memo and subtree_at(e, 1) not in memo
 
 
 def test_swap_twice_is_identity():

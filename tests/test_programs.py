@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mathsynth.programs
 from mathsynth.equations import parse_prefix
+from mathsynth.primitives import PrimitiveError
 from mathsynth.programs import (
     AbsRef,
     Abstraction,
@@ -117,6 +119,26 @@ def test_evaluate_propagates_primitive_errors():
     p = parse_program("(lambda (swap $0 1))")
     with pytest.raises(EvalError):
         evaluate(p, parse_prefix("(= (- 5 x) 3)"))
+
+
+def test_a_primitive_failure_message_is_built_only_when_read(monkeypatch):
+    """The message renders the whole equation, which the chain search, the
+    main catcher, never reads; the text stays the one it always was."""
+    rendered = []
+    render = mathsynth.programs.render_prefix
+    monkeypatch.setattr(
+        mathsynth.programs, "render_prefix", lambda e: rendered.append(e) or render(e)
+    )
+    p = parse_program("(lambda (swap $0 1))")
+    with pytest.raises(EvalError) as info:
+        evaluate(p, parse_prefix("(= (- 5 x) 3)"))
+    assert rendered == []
+    assert str(info.value) == (
+        "swap at index 1 failed on (= (- 5 x) 3): "
+        "swap does not apply to the subtree at index 1"
+    )
+    assert type(info.value.__cause__) is PrimitiveError
+    assert len(rendered) == 1
 
 
 def test_evaluate_rejects_non_function_programs():

@@ -366,11 +366,11 @@ def test_a_wall_timeout_that_fires_is_flagged_and_logged(caplog):
     budget = SearchBudget(max_expansions=5_000, wall_timeout=0.0)
     _, stats = solve_task_with_stats(task, Library.initial(), budget)
     # the clock is read every 1024 expansions, so a zero timeout stops there
-    assert stats["expansions"] == 1024 and stats["timed_out"] is True
+    assert stats["expansions"] == 1024 and stats["stop"] == "timeout"
     _, untimed = solve_task_with_stats(task, Library.initial(), SearchBudget(max_expansions=2_000))
-    assert untimed["expansions"] == 2_000 and "timed_out" not in untimed
+    assert untimed["expansions"] == 2_000 and untimed["stop"] == "budget"
     with caplog.at_level(logging.WARNING, logger="mathsynth"):
         wake = _wake([task], Library.initial(), RunConfig(budget=budget))
-    assert wake[task.id][1]["timed_out"] is True
+    assert wake[task.id][1]["stop"] == "timeout"
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "hard/0" in caplog.records[0].getMessage()
