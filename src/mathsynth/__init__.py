@@ -11,13 +11,11 @@ from .equations import (
     eval_at,
     is_equation,
     node_count,
-    parse_equation,
     parse_equation_infix,
     parse_prefix,
     render_infix,
     render_prefix,
     replace_subtree,
-    sides,
     subtree_at,
 )
 from .primitives import EQUATION_PRIMITIVES, PrimitiveError, apply_primitive

@@ -24,7 +24,7 @@ from .corpus import (
     load_solutions,
     save_solutions,
     save_tasks,
-    _atomic_write,
+    write_json,
 )
 from .enumerator import SearchBudget, solve_task_with_stats
 from .equations import EquationError
@@ -67,10 +67,6 @@ def _table(headers: list, rows: list) -> str:
         if idx == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def _write_json(path: str, data):
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _budget(args) -> SearchBudget:
@@ -197,7 +193,7 @@ def cmd_score(args) -> int:
         data[task_id] = {"steps": len(sol.states), "f_raw": raw, "f_dedup": ded}
     print(_table(["task", "steps", "f raw", "f dedup"], rows))
     if args.out:
-        _write_json(args.out, data)
+        write_json(args.out, data)
     return 0
 
 
@@ -234,7 +230,7 @@ def cmd_compare(args) -> int:
     print("\nde-duplicated steps:")
     print(_table(["quantity", "value"], _report_rows(ded)))
     if args.out:
-        _write_json(args.out, {"raw": _report_json(raw), "dedup": _report_json(ded)})
+        write_json(args.out, {"raw": _report_json(raw), "dedup": _report_json(ded)})
     return 0
 
 
@@ -259,7 +255,7 @@ def cmd_library(args) -> int:
     for a in abstractions:
         print(f"  {a.name} = {render_program(a.body, named=False)}")
     if args.out:
-        _write_json(
+        write_json(
             args.out,
             {
                 a.name: {

@@ -33,6 +33,7 @@ from .equations import (
     is_equation,
     parse_equation_infix,
     parse_prefix,
+    render_infix,
     render_prefix,
 )
 from .enumerator import Task
@@ -227,6 +228,11 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def write_json(path: str, data):
+    """Atomically write ``data`` as indented JSON with sorted keys."""
+    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def save_tasks(path: str, tasks: list):
     lines = [
         json.dumps(
@@ -325,8 +331,6 @@ def load_solutions(path: str, source: str = INGESTED_BASELINE) -> dict:
 
 
 def save_solutions(path: str, solutions: dict, programs: Optional[dict] = None):
-    from .equations import render_infix
-
     data = {}
     for task_id in sorted(solutions):
         steps = [render_infix(s) for s in solutions[task_id].states]
@@ -334,11 +338,11 @@ def save_solutions(path: str, solutions: dict, programs: Optional[dict] = None):
             data[task_id] = {"program": programs[task_id], "steps": steps}
         else:
             data[task_id] = steps
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_json(path, data)
 
 
 def save_checkpoint(path: str, lib: Library):
-    _atomic_write(path, json.dumps(lib.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, lib.to_dict())
 
 
 def load_checkpoint(path: str) -> Library:

@@ -69,18 +69,19 @@ from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .equations import Equation, check_solved, close_table, intern, open_table, subtrees
-from .grammar import CTX_TINT, CTX_TSTR, Library
+from .grammar import CTX_TINT, CTX_TSTR, VAR, Library
 from .primitives import RULES, PrimitiveError, apply_primitive
 from .programs import (
-    AbsRef,
     Apply,
     EvalError,
     IntLit,
     Lambda,
+    LITERAL_RANGE,
     Prim,
     Term,
     VarRef,
     apply_abstraction,
+    render_program,
 )
 
 
@@ -105,12 +106,6 @@ class SearchBudget:
             raise ValueError(f"wall_timeout must be >= 0 seconds, not {self.wall_timeout}")
 
 
-def _candidate_head(c) -> Term:
-    if c.kind == "prim":
-        return Prim(c.payload.item)
-    return AbsRef(c.payload.item)
-
-
 @dataclass(frozen=True, slots=True)
 class _Action:
     log_prob: float
@@ -126,27 +121,21 @@ class _Action:
 def _chain_actions(lib: Library) -> list[_Action]:
     """Every (equation production, literal argument tuple) pair, ordered
     best-probability first with the render text as tiebreak."""
-    lit_logp = {
-        c.payload: c.log_prob for c in lib.candidates(CTX_TINT) if c.kind == "lit"
-    }
+    lit_logp = {v: lib.table(CTX_TINT)[IntLit(v)][0] for v in LITERAL_RANGE}
     actions = []
-    for c in lib.candidates(CTX_TSTR):
-        if c.kind == "var":
-            continue
-        if c.arg_ctxs[:1] != (CTX_TSTR,) or any(a != CTX_TINT for a in c.arg_ctxs[1:]):
-            continue  # not a chainable equation transformer
-        head = _candidate_head(c)
+    for head, (log_prob, arg_ctxs) in lib.table(CTX_TSTR).items():
+        if arg_ctxs[:1] != (CTX_TSTR,) or any(a != CTX_TINT for a in arg_ctxs[1:]):
+            continue  # the variable, or not a chainable equation transformer
         prim = head.name if type(head) is Prim else None
         shape = RULES[prim].shape if prim is not None else None
-        n_int = len(c.arg_ctxs) - 1
+        n_int = len(arg_ctxs) - 1
         step_cost = 100 + (1 + n_int) + 100 * n_int
-        for lits in itertools.product(range(0, 11), repeat=n_int):
-            logp = c.log_prob + sum(lit_logp[v] for v in lits)
+        prefix = f"({render_program(head)} "
+        for lits in itertools.product(LITERAL_RANGE, repeat=n_int):
+            logp = log_prob + sum(lit_logp[v] for v in lits)
             suffix = "".join(f" {v}" for v in lits) + ")"
             actions.append(
-                _Action(
-                    logp, f"({c.render_key} ", suffix, head, lits, step_cost, prim, shape
-                )
+                _Action(logp, prefix, suffix, head, lits, step_cost, prim, shape)
             )
     actions.sort(key=lambda a: (-a.log_prob, a.prefix, a.suffix))
     return actions
@@ -204,7 +193,7 @@ def solve_task_with_stats(
 
 def _chain_search(task, lib, budget, k, patience):
     actions = _chain_actions(lib)
-    var_logp = next(c.log_prob for c in lib.candidates(CTX_TSTR) if c.kind == "var")
+    var_logp = lib.table(CTX_TSTR)[VAR][0]
     found: list[tuple[Term, float]] = []
     cutoff = budget.max_expansions
     max_cost = budget.max_program_cost

@@ -231,12 +231,6 @@ def is_equation(e: Expr) -> bool:
     return type(e) is Node and e.op == "="
 
 
-def sides(e: Equation) -> tuple[Expr, Expr]:
-    if not is_equation(e):
-        raise EquationError("expected an '='-rooted tree")
-    return e.left, e.right
-
-
 def node_count(e: Expr) -> int:
     return e.size
 
@@ -430,14 +424,6 @@ def render_prefix(e: Expr) -> str:
     if type(e) is Var:
         return "x"
     return f"({e.op} {render_prefix(e.left)} {render_prefix(e.right)})"
-
-
-def parse_equation(text: str) -> Equation:
-    """Prefix-parse and insist on an ``=`` root."""
-    e = parse_prefix(text)
-    if not is_equation(e):
-        raise EquationError("expected an equation with '=' at the root")
-    return e
 
 
 # --- infix codec ----------------------------------------------------------

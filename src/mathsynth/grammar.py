@@ -1,14 +1,15 @@
 """Weighted unigram grammar over programs, a.k.a. the library.
 
-The library holds every production the enumerator may use: the built-in
-primitives plus learned abstractions, each with a type and a log weight.
-Weights are unnormalized; probabilities come from normalizing over the
-candidates that can fill a hole of a given type context, so Eq-style priors
-are products of per-choice probabilities.
+The library holds every production the search may use: the built-in
+primitives plus learned abstractions.  A production is its head term, a
+Prim or an AbsRef, with a type and a log weight.  Weights are unnormalized;
+each hole context has one table, keyed by head term, that maps every head
+allowed there to its normalized log probability and the contexts of its
+arguments, so Eq-style priors are products of per-choice probabilities.
 
-Three contexts exist: equation-valued holes (the bound equation variable,
-equation primitives, equation-valued abstractions), integer-valued holes
-(literals 0..10, newConstGen, integer-valued abstractions) and the
+Three contexts exist: equation-valued holes (the bound equation variable
+$0, equation primitives, equation-valued abstractions), integer-valued holes
+(the literals 0..10, newConstGen, integer-valued abstractions) and the
 arguments of integer producers, which are restricted to bare literals so
 integer subterms never nest past one application (values stay within
 0..110).
@@ -24,13 +25,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .primitives import EQUATION_PRIMITIVES
 from .programs import (
     AbsRef,
     Abstraction,
     Apply,
     IntLit,
     Lambda,
+    LITERAL_RANGE,
     Prim,
     PRIM_TYPES,
     Term,
@@ -49,7 +50,7 @@ CTX_TSTR = "tstr"
 CTX_TINT = "tint"
 CTX_TINT_INNER = "tint_inner"
 
-LITERAL_RANGE = range(0, 11)
+VAR = VarRef(0)  # the bound equation variable, the head that takes no arguments
 
 
 class GrammarError(Exception):
@@ -58,13 +59,14 @@ class GrammarError(Exception):
 
 @dataclass
 class Production:
-    item: Union[str, Abstraction]  # primitive name or learned abstraction
+    head: Union[Prim, AbsRef]
     type: object
     log_weight: float
 
     @property
     def name(self) -> str:
-        return self.item if isinstance(self.item, str) else self.item.name
+        head = self.head
+        return head.name if type(head) is Prim else head.abstraction.name
 
     def result_type(self):
         t = self.type
@@ -81,24 +83,6 @@ class Production:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One normalized choice for a hole: how to build the head term, its
-    probability in this context, and the contexts of any argument holes."""
-
-    kind: str  # "var" | "lit" | "prim" | "abs"
-    payload: object
-    log_prob: float
-    arg_ctxs: tuple
-    render_key: str
-
-
-def _arg_ctx(arg_type, inner: bool):
-    if arg_type == TSTR:
-        return CTX_TSTR
-    return CTX_TINT_INNER if inner else CTX_TINT
-
-
 class Library:
     """Productions plus fitted weights; iteration tags when it was updated."""
 
@@ -111,12 +95,10 @@ class Library:
 
     @classmethod
     def initial(cls) -> "Library":
-        prods = [Production(name, PRIM_TYPES[name], 0.0) for name in EQUATION_PRIMITIVES]
-        prods.append(Production("newConstGen", PRIM_TYPES["newConstGen"], 0.0))
-        return cls(prods)
+        return cls([Production(Prim(name), t, 0.0) for name, t in PRIM_TYPES.items()])
 
     def abstractions(self) -> list[Abstraction]:
-        return [p.item for p in self.productions if isinstance(p.item, Abstraction)]
+        return [p.head.abstraction for p in self.productions if type(p.head) is AbsRef]
 
     def add_abstraction(self, body, origin_iteration: int = 0) -> Abstraction:
         """Register a new abstraction under the next free fn_<k> name.
@@ -124,37 +106,34 @@ class Library:
         If an equal-bodied abstraction is already present it is returned
         unchanged instead of being duplicated.
         """
-        for a in self.abstractions():
+        known = self.abstractions()
+        for a in known:
             if a.body == body:
                 return a
-        n = sum(1 for p in self.productions if isinstance(p.item, Abstraction))
-        a = Abstraction(body, name=f"fn_{n}", origin_iteration=origin_iteration)
-        self.productions.append(Production(a, a.type, 0.0))
+        a = Abstraction(body, name=f"fn_{len(known)}", origin_iteration=origin_iteration)
+        self.productions.append(Production(AbsRef(a), a.type, 0.0))
         self._tables = None
         return a
 
-    # -- normalized candidate tables ------------------------------------
+    # -- normalized tables ------------------------------------------------
 
     def _build_tables(self) -> dict:
-        # entry = (kind, payload, log_weight, arg_ctxs, render_key)
-        tstr_entries = [("var", None, self.var_log_weight, (), "$0")]
-        tint_entries = [("lit", v, 0.0, (), str(v)) for v in LITERAL_RANGE]
+        # entry = (head, log_weight, arg_ctxs)
+        tstr_entries = [(VAR, self.var_log_weight, ())]
+        tint_entries = [(IntLit(v), 0.0, ()) for v in LITERAL_RANGE]
         inner_entries = list(tint_entries)
         for p in self.productions:
-            term = Prim(p.item) if isinstance(p.item, str) else AbsRef(p.item)
-            key = render_program(term)
-            kind = "prim" if isinstance(p.item, str) else "abs"
             if p.result_type() == TSTR:
-                ctxs = tuple(_arg_ctx(a, inner=False) for a in p.arg_types())
-                tstr_entries.append((kind, p, p.log_weight, ctxs, key))
+                entries, int_ctx = tstr_entries, CTX_TINT
             else:
                 # integer producers take only literal arguments
-                ctxs = tuple(_arg_ctx(a, inner=True) for a in p.arg_types())
-                tint_entries.append((kind, p, p.log_weight, ctxs, key))
+                entries, int_ctx = tint_entries, CTX_TINT_INNER
+            ctxs = tuple(CTX_TSTR if a == TSTR else int_ctx for a in p.arg_types())
+            entries.append((p.head, p.log_weight, ctxs))
 
         def normalize(entries):
             try:
-                mass = sum(math.exp(w) for _, _, w, _, _ in entries)
+                mass = sum(math.exp(w) for _, w, _ in entries)
             except OverflowError:
                 mass = math.inf
             if not 0.0 < mass < math.inf:
@@ -162,10 +141,7 @@ class Library:
                     "production weights overflow or underflow when normalized"
                 )
             total = math.log(mass)
-            return [
-                Candidate(kind, payload, w - total, ctxs, key)
-                for kind, payload, w, ctxs, key in entries
-            ]
+            return {head: (w - total, ctxs) for head, w, ctxs in entries}
 
         return {
             CTX_TSTR: normalize(tstr_entries),
@@ -173,7 +149,9 @@ class Library:
             CTX_TINT_INNER: normalize(inner_entries),
         }
 
-    def candidates(self, ctx: str) -> list[Candidate]:
+    def table(self, ctx: str) -> dict:
+        """head -> (log_prob, arg_ctxs) for every head allowed in context
+        ``ctx``: VAR, an IntLit, a Prim or an AbsRef."""
         if self._tables is None:
             self._tables = self._build_tables()
         return self._tables[ctx]
@@ -191,39 +169,20 @@ class Library:
         if type(p) is Lambda:
             return self._score(p.body, CTX_TSTR)
         if type(p) is AbsRef and p.abstraction.type == arrow(TSTR, TSTR):
-            return self._score(Apply(p, VarRef(0)), CTX_TSTR)
+            return self._score(Apply(p, VAR), CTX_TSTR)
         return self._score(p, CTX_TINT)
 
     def _score(self, term: Term, ctx: str) -> float:
-        tt = type(term)
-        table = self.candidates(ctx)
-        if tt is VarRef:
-            for c in table:
-                if c.kind == "var":
-                    return c.log_prob
-            raise GrammarError("no variable production in this context")
-        if tt is IntLit:
-            for c in table:
-                if c.kind == "lit" and c.payload == term.value:
-                    return c.log_prob
-            raise GrammarError(f"literal {term.value} not available in context {ctx}")
         head, args = spine(term)
-        if type(head) is Prim:
-            match = lambda c: c.kind == "prim" and c.payload.item == head.name
-        elif type(head) is AbsRef:
-            match = lambda c: c.kind == "abs" and c.payload.item == head.abstraction
-        else:
-            raise GrammarError(f"cannot score head {head!r}")
-        for c in table:
-            if match(c):
-                if len(args) != len(c.arg_ctxs):
-                    raise GrammarError(
-                        f"{c.render_key} applied to {len(args)} args, expected {len(c.arg_ctxs)}"
-                    )
-                return c.log_prob + sum(
-                    self._score(a, actx) for a, actx in zip(args, c.arg_ctxs)
-                )
-        raise GrammarError(f"no production for {render_program(term)} in context {ctx}")
+        entry = self.table(ctx).get(head)
+        if entry is None:
+            raise GrammarError(f"no production for {render_program(head)} in context {ctx}")
+        log_prob, arg_ctxs = entry
+        if len(args) != len(arg_ctxs):
+            raise GrammarError(
+                f"{render_program(head)} applied to {len(args)} args, expected {len(arg_ctxs)}"
+            )
+        return log_prob + sum(self._score(a, actx) for a, actx in zip(args, arg_ctxs))
 
     # -- persistence -------------------------------------------------------
 
@@ -231,14 +190,16 @@ class Library:
         prods = []
         for p in self.productions:
             d = {
-                "kind": "abstraction" if isinstance(p.item, Abstraction) else "primitive",
+                "kind": "primitive",
                 "name": p.name,
                 "type": render_type(p.type),
                 "log_weight": p.log_weight,
             }
-            if isinstance(p.item, Abstraction):
-                d["body"] = render_program(p.item.body)
-                d["origin_iteration"] = p.item.origin_iteration
+            if type(p.head) is AbsRef:
+                a = p.head.abstraction
+                d["kind"] = "abstraction"
+                d["body"] = render_program(a.body)
+                d["origin_iteration"] = a.origin_iteration
             prods.append(d)
         return {
             "iteration": self.iteration,
@@ -248,41 +209,48 @@ class Library:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Library":
-        """Inverse of to_dict; GrammarError for anything else."""
+        """Inverse of to_dict; GrammarError for anything else, a production
+        listed twice included."""
         _check_fields(d, "checkpoint", _CHECKPOINT_FIELDS)
         _check_finite(d["var_log_weight"], "var_log_weight")
         lib = cls([], var_log_weight=d["var_log_weight"], iteration=d["iteration"])
+        names = set()
+        bodies = {}  # abstraction -> its name, compared by body
         for pd in d["productions"]:
             _check_fields(pd, "checkpoint production", _PRODUCTION_FIELDS)
-            _check_finite(pd["log_weight"], f"log_weight of {pd['name']!r}")
+            name = pd["name"]
+            _check_finite(pd["log_weight"], f"log_weight of {name!r}")
+            if name in names:
+                raise GrammarError(f"checkpoint lists two productions named {name!r}")
+            names.add(name)
             if pd["kind"] not in ("primitive", "abstraction"):
                 raise GrammarError(f"unknown production kind {pd['kind']!r} in checkpoint")
             if pd["kind"] == "primitive":
-                if pd["name"] not in PRIM_TYPES:
-                    raise GrammarError(f"unknown primitive {pd['name']!r} in checkpoint")
-                lib.productions.append(
-                    Production(pd["name"], PRIM_TYPES[pd["name"]], pd["log_weight"])
-                )
+                if name not in PRIM_TYPES:
+                    raise GrammarError(f"unknown primitive {name!r} in checkpoint")
+                prod = Production(Prim(name), PRIM_TYPES[name], pd["log_weight"])
             else:
                 _check_fields(pd, "checkpoint abstraction", _ABSTRACTION_FIELDS)
                 body = parse_program(pd["body"], lib)
-                a = Abstraction(body, name=pd["name"],
-                                origin_iteration=pd.get("origin_iteration", 0))
-                prod = Production(a, a.type, pd["log_weight"])
+                a = Abstraction(body, name=name, origin_iteration=pd.get("origin_iteration", 0))
+                if a in bodies:
+                    raise GrammarError(
+                        f"checkpoint abstractions {bodies[a]!r} and {name!r} have the same body"
+                    )
+                bodies[a] = name
+                prod = Production(AbsRef(a), a.type, pd["log_weight"])
                 if len(prod.arg_types()) != a.arity:
                     # the search and apply_abstraction pass exactly arity arguments
                     raise GrammarError(
-                        f"abstraction {pd['name']!r} in checkpoint returns a function;"
+                        f"abstraction {name!r} in checkpoint returns a function;"
                         " its lambdas must bind every argument its type takes"
                     )
-                lib.productions.append(prod)
-        declared = {pd["name"]: pd["type"] for pd in d["productions"]}
-        for p in lib.productions:
-            if render_type(p.type) != declared[p.name]:
+            if render_type(prod.type) != pd["type"]:
                 raise GrammarError(
-                    f"type mismatch for {p.name}: checkpoint says {declared[p.name]}, "
-                    f"inferred {render_type(p.type)}"
+                    f"type mismatch for {name}: checkpoint says {pd['type']}, "
+                    f"inferred {render_type(prod.type)}"
                 )
+            lib.productions.append(prod)
         return lib
 
 
@@ -314,7 +282,8 @@ def _check_finite(weight, what: str) -> None:
 
 
 def production_counts(programs: Iterable[Term]) -> tuple[dict, int]:
-    """Usage counts of primitives/abstractions plus the variable-use count.
+    """Usage counts of Prim and AbsRef heads, keyed by the term (an AbsRef
+    compares by abstraction body), plus the variable-use count.
 
     Counts do not descend into abstraction bodies: an abstraction call is a
     single production use.
@@ -324,10 +293,8 @@ def production_counts(programs: Iterable[Term]) -> tuple[dict, int]:
     for program in programs:
         for t in subterms(program):
             tt = type(t)
-            if tt is Prim:
-                counts[t.name] = counts.get(t.name, 0) + 1
-            elif tt is AbsRef:
-                counts[t.abstraction] = counts.get(t.abstraction, 0) + 1
+            if tt is Prim or tt is AbsRef:
+                counts[t] = counts.get(t, 0) + 1
             elif tt is VarRef:
                 var_uses += 1
     return counts, var_uses
@@ -337,7 +304,7 @@ def fit_grammar(lib: Library, programs: Iterable[Term]) -> Library:
     """Refit weights from usage counts: weight = log(count + 1)."""
     counts, var_uses = production_counts(programs)
     prods = [
-        Production(p.item, p.type, math.log(counts.get(p.item, 0) + 1))
+        Production(p.head, p.type, math.log(counts.get(p.head, 0) + 1))
         for p in lib.productions
     ]
     return Library(prods, var_log_weight=math.log(var_uses + 1), iteration=lib.iteration)

@@ -97,6 +97,8 @@ EQ_PRIM_TYPE = arrow(TSTR, TINT, TSTR)
 PRIM_TYPES = {name: EQ_PRIM_TYPE for name in EQUATION_PRIMITIVES}
 PRIM_TYPES["newConstGen"] = arrow(TINT, TINT, TINT, TINT)
 
+LITERAL_RANGE = range(0, 11)  # the integer literals a program may contain
+
 
 # --- terms ------------------------------------------------------------------
 
@@ -321,7 +323,7 @@ def _parse_term(tokens, pos, depth, abstractions):
             v = int(tok)
         except ValueError:  # a digit int() does not read, or too many digits
             raise ProgramError(f"bad integer literal {tok!r}") from None
-        if not 0 <= v <= 10:
+        if v not in LITERAL_RANGE:
             raise ProgramError(f"integer literal {v} outside 0..10")
         return IntLit(v), pos + 1
     if tok in PRIM_TYPES:

@@ -14,7 +14,6 @@ seed produce byte-identical checkpoints and curves.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import random
@@ -25,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .compression import compress_detailed
-from .corpus import reinstantiate, save_checkpoint, _atomic_write
+from .corpus import reinstantiate, save_checkpoint, write_json
 from .enumerator import SearchBudget, Task, solve_task_with_stats
 from .equations import EquationError, check_solved
 from .grammar import Library, fit_grammar
@@ -78,7 +77,6 @@ class RunConfig:
 @dataclass
 class BestProgram:
     program: object
-    logp: float
     found_iteration: int
 
 
@@ -223,14 +221,11 @@ def run_training_loop(
             if chosen is None:
                 continue
             term = _eta_reduce(chosen[0])
-            new_logp = lib.log_prior(term)
-            if task.id in best:
-                stored_logp = lib.log_prior(best[task.id].program)
-                if new_logp > stored_logp:
-                    best[task.id] = BestProgram(term, new_logp, it)
-            else:
-                best[task.id] = BestProgram(term, new_logp, it)
+            if task.id not in best:
+                best[task.id] = BestProgram(term, it)
                 newly += 1
+            elif lib.log_prior(term) > lib.log_prior(best[task.id].program):
+                best[task.id] = BestProgram(term, it)
 
         # the compression corpus is the whole frontier: variant routes give
         # shared fragments support that single best programs would hide.
@@ -295,10 +290,7 @@ def run_training_loop(
 
     if config.out_dir:
         save_checkpoint(os.path.join(config.out_dir, "library.json"), lib)
-        _atomic_write(
-            os.path.join(config.out_dir, "curve.json"),
-            json.dumps(curve, indent=2, sort_keys=True) + "\n",
-        )
+        write_json(os.path.join(config.out_dir, "curve.json"), curve)
 
     return TrainingResult(lib, best, curve, evals, tasks)
 

@@ -23,7 +23,7 @@ from mathsynth.enumerator import (
     solve_task_with_stats,
 )
 from mathsynth.equations import check_solved, parse_prefix
-from mathsynth.grammar import CTX_TSTR, Library, fit_grammar
+from mathsynth.grammar import CTX_TSTR, VAR, Library, fit_grammar
 from mathsynth.primitives import PrimitiveError, apply_primitive
 from mathsynth.programs import (
     EvalError,
@@ -32,13 +32,15 @@ from mathsynth.programs import (
     VarRef,
     apply_abstraction,
     parse_program,
+    program_cost,
     render_program,
+    subterms,
 )
 
 
 def heap_solve(task, lib, budget, k=5, patience=None):
     actions = _chain_actions(lib)
-    var_logp = next(c.log_prob for c in lib.candidates(CTX_TSTR) if c.kind == "var")
+    var_logp = lib.table(CTX_TSTR)[VAR][0]
     found = []
     cutoff = budget.max_expansions
     root = _ChainNode(task.input, var_logp, 101, None, None, 0)
@@ -194,6 +196,48 @@ def test_interrupted_runs_match_single_heap(monkeypatch):
     for prefix in ("(= (* 5 x) 3)", "(= (- (* 3 x) 2) 7)", "(= (+ x 4) 6)"):
         _same_search(_task(prefix), lib, SearchBudget(max_expansions=15_000), k=3)
     assert pushed_back
+
+
+def _library_of_calls():
+    """The skewed library refitted toward calls of its abstractions, which
+    take 0, 1 and 2 integer arguments, so searches return programs that
+    use each of them."""
+    lib = _skewed_library()
+    calls = ["(lambda (fn_0 $0))", "(lambda (fn_1 (fn_0 $0) 1))", "(lambda (fn_2 $0 3 0))"]
+    return fit_grammar(lib, [parse_program(c, lib) for c in calls] * 3)
+
+
+_CALL_TASKS = ("(= (* 3 x) 6)", "(= (+ x 3) 5)", "(= x (/ 6 2))")
+
+
+def _found(prefix, lib, max_cost=10_000):
+    budget = SearchBudget(max_expansions=5_000, max_program_cost=max_cost)
+    return solve_task_with_stats(_task(prefix), lib, budget, k=10)[0]
+
+
+def test_a_returned_log_prior_is_the_library_prior():
+    lib = _library_of_calls()
+    heads = set()
+    for prefix in _CALL_TASKS:
+        for program, logp in _found(prefix, lib):
+            assert logp == pytest.approx(lib.log_prior(program), abs=1e-9)
+            heads.update(render_program(t, named=True) for t in subterms(program))
+    assert {"fn_0", "fn_1", "fn_2", "simplify"} <= heads
+
+
+def test_the_cost_cap_admits_a_program_at_its_cost_and_not_below():
+    # pins the search's step cost, 100 + (1 + n_int) + 100 * n_int for an
+    # action with n_int integer arguments, and its root cost 101, to
+    # programs.program_cost
+    lib = _library_of_calls()
+    checked = 0
+    for prefix in _CALL_TASKS:
+        for program, _ in _found(prefix, lib):
+            cost = program_cost(program)
+            assert program in [p for p, _ in _found(prefix, lib, max_cost=cost)]
+            assert program not in [p for p, _ in _found(prefix, lib, max_cost=cost - 1)]
+            checked += 1
+    assert checked >= 5
 
 
 def _closed():

@@ -284,6 +284,12 @@ def _with_abstraction(body: str, type_: str) -> dict:
     return doc
 
 
+def _listed_twice(production: dict) -> dict:
+    doc = _with_abstraction("(lambda (sub $0 5))", "tstr -> tstr")
+    doc["productions"].append({"type": "tstr -> tstr", "log_weight": 0.0, **production})
+    return doc
+
+
 @pytest.mark.parametrize(
     "checkpoint",
     [
@@ -293,8 +299,14 @@ def _with_abstraction(body: str, type_: str) -> dict:
         _UNKNOWN_PRIMITIVE,
         _with_abstraction("(lambda (__bodies__ $0))", "tstr -> tstr"),
         _with_abstraction("(lambda (swap $0))", "tstr -> tint -> tstr"),
+        _listed_twice({"kind": "primitive", "name": "add", "type": "tstr -> tint -> tstr"}),
+        _listed_twice({"kind": "abstraction", "name": "fn_1", "body": "(lambda (sub $0 5))"}),
+        _listed_twice({"kind": "abstraction", "name": "fn_0", "body": "(lambda (add $0 3))"}),
     ],
-    ids=["empty", "list", "null", "unknown", "not-a-name", "returns-function"],
+    ids=[
+        "empty", "list", "null", "unknown", "not-a-name", "returns-function",
+        "primitive-twice", "same-body", "same-name",
+    ],
 )
 def test_malformed_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys, checkpoint):
     path = tmp_path / "bad.json"

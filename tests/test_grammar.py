@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from mathsynth.grammar import Library, fit_grammar
+from mathsynth.grammar import GrammarError, Library, fit_grammar
 from mathsynth.programs import (
     Abstraction,
     AbsRef,
@@ -106,3 +106,52 @@ def test_nested_abstraction_survives_round_trip():
     lib.add_abstraction(outer_body)
     back = Library.from_dict(lib.to_dict())
     assert back.abstractions()[1].body == outer_body
+
+
+def test_fit_counts_equal_bodied_abstractions_as_one_production():
+    lib = Library.initial()
+    lib.add_abstraction(parse_program("(lambda (sub $0 5))"))
+    # parsed without the library, these are unnamed twins of fn_0
+    twin = "#(lambda (sub $0 5))"
+    corpus = [parse_program(f"(lambda ({twin} $0))")] * 2 + [parse_program(twin)]
+    fitted = fit_grammar(lib, corpus)
+    assert weight_of(fitted, "fn_0") == math.log(3 + 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(lambda ((lambda $0) $0))",
+        "(lambda (swap $0))",
+        "(lambda (swap $0 0 1))",
+        "(lambda (#(lambda (sub $0 5)) $0))",
+    ],
+    ids=["lambda-head", "too-few-args", "too-many-args", "unknown-abstraction"],
+)
+def test_log_prior_rejects_a_program_the_library_cannot_produce(text):
+    with pytest.raises(GrammarError):
+        Library.initial().log_prior(parse_program(text))
+
+
+def _abstraction_entry(name, body):
+    return {"kind": "abstraction", "name": name, "type": "tstr -> tstr",
+            "log_weight": 0.0, "body": body, "origin_iteration": 1}
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"kind": "primitive", "name": "swap", "type": "tstr -> tint -> tstr",
+          "log_weight": 0.0}, "'swap'"),
+        (_abstraction_entry("fn_1", "(lambda (sub $0 5))"), "'fn_0' and 'fn_1'"),
+        (_abstraction_entry("fn_0", "(lambda (add $0 3))"), "'fn_0'"),
+    ],
+    ids=["primitive", "same-body", "same-name"],
+)
+def test_checkpoint_that_lists_a_production_twice_is_rejected(extra, named):
+    lib = Library.initial()
+    lib.add_abstraction(parse_program("(lambda (sub $0 5))"))
+    doc = lib.to_dict()
+    doc["productions"].append(extra)
+    with pytest.raises(GrammarError, match=named):
+        Library.from_dict(doc)
