@@ -29,10 +29,14 @@ another cursor is smaller.  Every rank of a run counts as one expansion,
 the popped one and each continued one alike, and each is subject to the
 same k, cutoff and wall-clock checks as a pop.  So a run expands exactly
 the cursors a pop per expansion would, in the same order.  For the length
-of a run the search holds the state's subtrees in a pre-order table, which
-lets it test a primitive action's shape (the primitive's entry in
-primitives.RULES) and skip the call when it fails; the table is dropped when
-the run ends.
+of a run the search holds the state's subtrees in a pre-order table.  A
+primitive action tests its rule's shape (the primitive's entry in
+primitives.RULES) on the subtree there and is skipped when it fails;
+otherwise the search calls the rule's rewrite with that subtree itself,
+not primitives.apply_primitive, whose root and range checks hold for every
+state and index it tries.  The table is dropped when the run ends.  The
+loop reads each rank's log probability, step cost, index, shape and
+rewrite from flat lists built once per search.
 
 Duplicate states are found by identity.  A search opens an equation intern
 table for its length (equations.open_table) and interns the task's input,
@@ -55,7 +59,13 @@ and say why it ended: stop is "k" when it found k programs, "patience" or
 "budget" when it spent the expansions it was allowed after its first
 solution or in all, "timeout" when the wall clock ran out, and "frontier"
 when no cursor was left within max_program_cost.  first_solution is the
-expansion count at the first program found, or None.
+expansion count at the first program found, or None.  The stats also say
+where the expansions went: skipped (an index outside the state or a
+subtree that fails the shape), failed (the rewrite or abstraction raised)
+and duplicates (the child was a state already visited).  Every other
+expansion makes a new state, except the one that finds the clock run out,
+so expansions = skipped + failed + duplicates + states - 1, plus one when
+stop is "timeout".
 """
 
 from __future__ import annotations
@@ -66,11 +76,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Optional
 
 from .equations import Equation, check_solved, close_table, intern, open_table, subtrees
 from .grammar import CTX_TINT, CTX_TSTR, VAR, Library
-from .primitives import RULES, PrimitiveError, apply_primitive
+from .primitives import RULES, PrimitiveError
+from .primitives import apply_primitive  # noqa: F401  unused here; bench/tracing.py wraps it
 from .programs import (
     Apply,
     EvalError,
@@ -114,8 +125,6 @@ class _Action:
     head: Term  # Prim or AbsRef
     lits: tuple
     step_cost: int
-    prim: Optional[str]  # the primitive's name; None for an abstraction
-    shape: Optional[Callable]  # the primitive's shape precondition
 
 
 def _chain_actions(lib: Library) -> list[_Action]:
@@ -126,17 +135,13 @@ def _chain_actions(lib: Library) -> list[_Action]:
     for head, (log_prob, arg_ctxs) in lib.table(CTX_TSTR).items():
         if arg_ctxs[:1] != (CTX_TSTR,) or any(a != CTX_TINT for a in arg_ctxs[1:]):
             continue  # the variable, or not a chainable equation transformer
-        prim = head.name if type(head) is Prim else None
-        shape = RULES[prim].shape if prim is not None else None
         n_int = len(arg_ctxs) - 1
         step_cost = 100 + (1 + n_int) + 100 * n_int
         prefix = f"({render_program(head)} "
         for lits in itertools.product(LITERAL_RANGE, repeat=n_int):
             logp = log_prob + sum(lit_logp[v] for v in lits)
             suffix = "".join(f" {v}" for v in lits) + ")"
-            actions.append(
-                _Action(logp, prefix, suffix, head, lits, step_cost, prim, shape)
-            )
+            actions.append(_Action(logp, prefix, suffix, head, lits, step_cost))
     actions.sort(key=lambda a: (-a.log_prob, a.prefix, a.suffix))
     return actions
 
@@ -191,8 +196,21 @@ def solve_task_with_stats(
             gc.enable()
 
 
+_INF = float("inf")
+
+
 def _chain_search(task, lib, budget, k, patience):
     actions = _chain_actions(lib)
+    n_actions = len(actions)
+    # the loop reads each rank from flat lists; a primitive action applies
+    # its rule at the index given by its one literal, an abstraction action
+    # has no rule
+    logps = [a.log_prob for a in actions]
+    costs = [a.step_cost for a in actions]
+    rules = [RULES[a.head.name] if type(a.head) is Prim else None for a in actions]
+    indices = [a.lits[0] if r is not None else None for a, r in zip(actions, rules)]
+    shapes = [r.shape if r is not None else None for r in rules]
+    rewrites = [r.rewrite if r is not None else None for r in rules]
     var_logp = lib.table(CTX_TSTR)[VAR][0]
     found: list[tuple[Term, float]] = []
     cutoff = budget.max_expansions
@@ -208,23 +226,22 @@ def _chain_search(task, lib, budget, k, patience):
             cutoff = min(cutoff, patience)
 
     visited = {root_eq: True}
-    n_actions = len(actions)
     frontier = []  # a heap of cursors
     push = heappush
 
     def first_cursor(node: _ChainNode) -> Optional[tuple]:
-        rank = 0
-        while rank < n_actions:
-            action = actions[rank]
-            if node.cost + action.step_cost <= max_cost:
-                return (-(node.logp + action.log_prob), node.seq, rank, node)
-            rank += 1  # later actions may be cheaper only in logp, not cost
+        """The node's cursor at the first rank it can afford, or None."""
+        for rank in range(n_actions):
+            if node.cost + costs[rank] <= max_cost:
+                return (-(node.logp + logps[rank]), node.seq, rank, node)
         return None
 
     cursor = first_cursor(root)
     if cursor is not None:
         push(frontier, cursor)
-    expansions = 0
+    # with no actions nothing is expanded, so these are never read
+    cost0, logp0 = (costs[0], logps[0]) if actions else (0, 0.0)
+    expansions = skipped = failed = duplicates = 0
     nodes_made = 0
     timed_out = False
     node = None  # the node whose run is in progress, at cursor rank
@@ -239,46 +256,59 @@ def _chain_search(task, lib, budget, k, patience):
             eq, logp, cost = node.eq, node.logp, node.cost
             table = subtrees(eq)
             n_nodes = len(table)
-            top = frontier[0] if frontier else None  # from here on, only children join
-        action = actions[rank]
+            # the smallest (key, seq) in the frontier; from here on only
+            # children join it.  Seqs are unique, so they break every tie.
+            top_key, top_seq = frontier[0][:2] if frontier else (_INF, _INF)
+        rewrite = rewrites[rank]
         child_eq = None
         try:
-            if action.prim is not None:
-                index = action.lits[0]
-                if index < n_nodes and action.shape(table[index]):
-                    child_eq = apply_primitive(action.prim, eq, index)
-            else:
+            if rewrite is None:
+                action = actions[rank]
                 child_eq = apply_abstraction(action.head.abstraction, (eq,) + action.lits)
+            else:
+                index = indices[rank]
+                if index < n_nodes and shapes[rank](y := table[index]):
+                    child_eq = rewrite(eq, index, y)
+                else:
+                    skipped += 1
         except (PrimitiveError, EvalError):
-            pass
-        if child_eq is not None and child_eq not in visited:
-            visited[child_eq] = True
-            nodes_made += 1
-            child = _ChainNode(
-                child_eq, logp + action.log_prob, cost + action.step_cost, node, action,
-                nodes_made,
-            )
-            solution = check_solved(child_eq)
-            if solution is not None and solution == task.goal:
-                found.append((_rebuild_program(child), child.logp))
-                if first_solution is None:
-                    first_solution = expansions
-                if patience is not None:
-                    cutoff = min(cutoff, expansions + patience)
-            cursor = first_cursor(child)
-            if cursor is not None:
-                push(frontier, cursor)
-                if top is None or cursor < top:
-                    top = cursor
+            failed += 1
+        if child_eq is not None:
+            if child_eq in visited:
+                duplicates += 1
+            else:
+                visited[child_eq] = True
+                nodes_made += 1
+                child_logp = logp + logps[rank]
+                child_cost = cost + costs[rank]
+                child = _ChainNode(
+                    child_eq, child_logp, child_cost, node, actions[rank], nodes_made
+                )
+                solution = check_solved(child_eq)
+                if solution is not None and solution == task.goal:
+                    found.append((_rebuild_program(child), child_logp))
+                    if first_solution is None:
+                        first_solution = expansions
+                    if patience is not None:
+                        cutoff = min(cutoff, expansions + patience)
+                if child_cost + cost0 <= max_cost:
+                    cursor = (-(child_logp + logp0), nodes_made, 0, child)
+                else:
+                    cursor = first_cursor(child)
+                if cursor is not None:
+                    push(frontier, cursor)
+                    key = cursor[0]
+                    if key < top_key or (key == top_key and nodes_made < top_seq):
+                        top_key, top_seq = key, nodes_made
         rank += 1
-        while rank < n_actions and cost + actions[rank].step_cost > max_cost:
+        while rank < n_actions and cost + costs[rank] > max_cost:
             rank += 1
         if rank == n_actions:
             node = None
-        elif top is not None:
-            cursor = (-(logp + actions[rank].log_prob), seq, rank, node)
-            if top < cursor:
-                push(frontier, cursor)
+        else:
+            key = -(logp + logps[rank])
+            if key > top_key or (key == top_key and seq > top_seq):
+                push(frontier, (key, seq, rank, node))
                 node = None
 
     if timed_out:
@@ -295,6 +325,9 @@ def _chain_search(task, lib, budget, k, patience):
         "expansions": expansions,
         "states": len(visited),
         "solutions": len(found),
+        "skipped": skipped,
+        "failed": failed,
+        "duplicates": duplicates,
         "stop": stop,
         "first_solution": first_solution,
     }

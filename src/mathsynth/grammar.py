@@ -34,6 +34,7 @@ from .programs import (
     LITERAL_RANGE,
     Prim,
     PRIM_TYPES,
+    ProgramError,
     Term,
     TSTR,
     VarRef,
@@ -238,6 +239,7 @@ class Library:
                         f"checkpoint abstractions {bodies[a]!r} and {name!r} have the same body"
                     )
                 bodies[a] = name
+                _check_name(a, [*lib.abstractions(), a])
                 prod = Production(AbsRef(a), a.type, pd["log_weight"])
                 if len(prod.arg_types()) != a.arity:
                     # the search and apply_abstraction pass exactly arity arguments
@@ -272,6 +274,21 @@ def _check_fields(d, what: str, fields: dict) -> None:
             raise GrammarError(
                 f"{what} field {key!r} has a value of type {type(d[key]).__name__}"
             )
+
+
+def _check_name(a: Abstraction, abstractions: list) -> None:
+    """GrammarError unless program text can refer to ``a`` by its name: a
+    call of ``a`` rendered by name must parse back to that call."""
+    call = Lambda(Apply(AbsRef(a), VAR))
+    text = render_program(call, named=True)
+    try:
+        same = bool(a.name) and parse_program(text, abstractions) == call
+    except ProgramError:
+        same = False
+    if not same:
+        raise GrammarError(
+            f"checkpoint abstraction name {a.name!r} is not a program token that names it"
+        )
 
 
 def _check_finite(weight, what: str) -> None:

@@ -19,12 +19,15 @@ checked path through it: it checks that e is '='-rooted and i in range,
 descends to y once, tests the shape, then rewrites.
 EQUATION_PRIMITIVES[name](e, i) is apply_primitive with the name bound.
 
-A caller that already holds the subtree (the chain search, which lists a
-state's subtrees once per state) can test RULES[name].shape itself and
-skip a call that would raise.  A shape states a necessary condition only:
-when it rejects y the primitive raises, but when it accepts y the rewrite
-may still raise on a check the shape leaves out, such as dist's shared
-factor or simplify's zero denominator.
+The chain search, which lists a state's subtrees once per state, calls the
+rule itself: it tests RULES[name].shape on the subtree y it holds, skips
+the action when the shape rejects y, and otherwise calls rewrite(e, i, y)
+with no other check, since its states are '='-rooted and it tries only
+indices in range.  Every other caller goes through apply_primitive.  A
+shape states a necessary condition only: when it rejects y the primitive
+raises, but when it accepts y the rewrite may still raise on a check the
+shape leaves out, such as dist's shared factor or simplify's zero
+denominator.
 
 While an intern table is open (equations.open_table), simplify keeps each
 node's normal form in the table's memo and looks it up before normalizing

@@ -3,7 +3,10 @@ plain heap loop.
 
 ``heap_solve`` is the search loop without runs, skips or interning, kept
 here as the oracle: it pushes every cursor on one heap keyed
-``(-(logp + a_r), seq, r)`` and applies every action it pops.
+``(-(logp + a_r), seq, r)`` and applies every action it pops through the
+checked path, ``apply_primitive`` or ``apply_abstraction``.  It counts the
+actions that raised there, which the search splits into skipped and failed
+ones, and the children it had already visited.
 """
 
 import gc
@@ -63,7 +66,7 @@ def heap_solve(task, lib, budget, k=5, patience=None):
             return
 
     push_cursor(root, 0)
-    expansions = 0
+    expansions = unapplied = duplicates = 0
     nodes_made = 0
     while heap and len(found) < k and expansions < cutoff:
         expansions += 1
@@ -78,8 +81,10 @@ def heap_solve(task, lib, budget, k=5, patience=None):
                     action.head.abstraction, (node.eq,) + action.lits
                 )
         except (PrimitiveError, EvalError):
+            unapplied += 1
             continue
         if child_eq in visited:
+            duplicates += 1
             continue
         visited[child_eq] = True
         nodes_made += 1
@@ -103,6 +108,8 @@ def heap_solve(task, lib, budget, k=5, patience=None):
         "expansions": expansions,
         "states": len(visited),
         "solutions": len(found),
+        "unapplied": unapplied,
+        "duplicates": duplicates,
         "stop": stop,
         "first_solution": first_solution,
     }
@@ -117,6 +124,8 @@ def _task(prefix):
 def _same_search(task, lib, budget, k, patience=None):
     got, got_stats = solve_task_with_stats(task, lib, budget, k=k, patience=patience)
     want, want_stats = heap_solve(task, lib, budget, k=k, patience=patience)
+    got_stats = dict(got_stats)
+    got_stats["unapplied"] = got_stats.pop("skipped") + got_stats.pop("failed")
     assert got_stats == want_stats
     assert [(render_program(p), lp) for p, lp in got] == [
         (render_program(p), lp) for p, lp in want
@@ -251,11 +260,11 @@ def test_intern_table_closes_when_a_search_returns_or_raises(monkeypatch):
     budget = SearchBudget(max_expansions=2_000)
     seen = []
 
-    def spy(name, e, i):
+    def spy(e):
         seen.append(gc.isenabled())
-        return apply_primitive(name, e, i)
+        return check_solved(e)
 
-    monkeypatch.setattr(mathsynth.enumerator, "apply_primitive", spy)
+    monkeypatch.setattr(mathsynth.enumerator, "check_solved", spy)
     assert gc.isenabled()
     solve_task_with_stats(task, Library.initial(), budget, k=1)
     assert _closed() and gc.isenabled()
@@ -267,10 +276,37 @@ def test_intern_table_closes_when_a_search_returns_or_raises(monkeypatch):
     finally:
         gc.enable()
 
-    def broken(name, e, i):
-        raise RuntimeError("broken primitive")
+    def broken(e):
+        raise RuntimeError("broken check")
 
-    monkeypatch.setattr(mathsynth.enumerator, "apply_primitive", broken)
-    with pytest.raises(RuntimeError, match="broken primitive"):
+    monkeypatch.setattr(mathsynth.enumerator, "check_solved", broken)
+    with pytest.raises(RuntimeError, match="broken check"):
         solve_task_with_stats(task, Library.initial(), budget, k=1)
     assert _closed() and gc.isenabled()
+
+
+_STOPS = [
+    ("(= x 4)", SearchBudget(), 1, None, "k"),
+    ("(= x (/ 6 2))", SearchBudget(max_expansions=300_000), 8, 1_000, "patience"),
+    ("(= (+ (* 3 x) (* 4 x)) 9)", SearchBudget(max_expansions=3_000), 1, None, "budget"),
+    ("(= (+ (* 3 x) (* 4 x)) 9)", SearchBudget(wall_timeout=0.0), 1, None, "timeout"),
+    ("(= (- (* 3 x) 2) 7)", SearchBudget(max_program_cost=605), 1, None, "frontier"),
+]
+
+
+@pytest.mark.parametrize("library", [Library.initial, _skewed_library])
+def test_every_expansion_is_skipped_failed_a_duplicate_or_a_new_state(library):
+    """An expansion skips its action, has it raise, reaches a state already
+    visited, or makes a new state; the root is a state no expansion made,
+    and the expansion that finds the clock run out does none of these."""
+    lib = library()
+    totals = dict.fromkeys(("skipped", "failed", "duplicates"), 0)
+    for prefix, budget, k, patience, stop in _STOPS:
+        _, stats = solve_task_with_stats(_task(prefix), lib, budget, k, patience)
+        assert stats["stop"] == stop
+        accounted = stats["skipped"] + stats["failed"] + stats["duplicates"]
+        accounted += stats["states"] - 1
+        assert stats["expansions"] - (stop == "timeout") == accounted
+        for key in totals:
+            totals[key] += stats[key]
+    assert all(totals.values())

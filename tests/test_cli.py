@@ -275,10 +275,10 @@ _UNKNOWN_PRIMITIVE = {
 }
 
 
-def _with_abstraction(body: str, type_: str) -> dict:
+def _with_abstraction(body: str, type_: str, name: str = "fn_0") -> dict:
     doc = Library.initial().to_dict()
     doc["productions"].append(
-        {"kind": "abstraction", "name": "fn_0", "type": type_, "log_weight": 0.0,
+        {"kind": "abstraction", "name": name, "type": type_, "log_weight": 0.0,
          "body": body, "origin_iteration": 1}
     )
     return doc
@@ -302,10 +302,11 @@ def _listed_twice(production: dict) -> dict:
         _listed_twice({"kind": "primitive", "name": "add", "type": "tstr -> tint -> tstr"}),
         _listed_twice({"kind": "abstraction", "name": "fn_1", "body": "(lambda (sub $0 5))"}),
         _listed_twice({"kind": "abstraction", "name": "fn_0", "body": "(lambda (add $0 3))"}),
+        _with_abstraction("(lambda (sub $0 5))", "tstr -> tstr", name="7"),
     ],
     ids=[
         "empty", "list", "null", "unknown", "not-a-name", "returns-function",
-        "primitive-twice", "same-body", "same-name",
+        "primitive-twice", "same-body", "same-name", "name-not-a-token",
     ],
 )
 def test_malformed_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys, checkpoint):

@@ -10,6 +10,7 @@ from mathsynth.programs import (
     Lambda,
     VarRef,
     parse_program,
+    render_program,
 )
 
 
@@ -155,3 +156,27 @@ def test_checkpoint_that_lists_a_production_twice_is_rejected(extra, named):
     doc["productions"].append(extra)
     with pytest.raises(GrammarError, match=named):
         Library.from_dict(doc)
+
+
+def _checkpoint_naming(name):
+    """The initial library without swap, plus one abstraction named ``name``."""
+    doc = Library.initial().to_dict()
+    doc["productions"] = [p for p in doc["productions"] if p["name"] != "swap"]
+    doc["productions"].append(_abstraction_entry(name, "(lambda (sub $0 5))"))
+    return doc
+
+
+@pytest.mark.parametrize("name", ["7", "$0", "lambda", "swap", "fn ok", "", "(fn", "fn)"])
+def test_checkpoint_abstraction_name_that_program_text_cannot_name_is_rejected(name):
+    # named renders of a call, such as (lambda (7 $0)), would parse back to
+    # another program or not at all
+    with pytest.raises(GrammarError, match="is not a program token that names it"):
+        Library.from_dict(_checkpoint_naming(name))
+
+
+@pytest.mark.parametrize("name", ["fn_0", "sub5", "-"])
+def test_checkpoint_abstraction_name_parses_back_to_the_abstraction(name):
+    lib = Library.from_dict(_checkpoint_naming(name))
+    call = parse_program(f"(lambda ({name} $0))", lib)
+    assert call.body.fn.abstraction.body == parse_program("(lambda (sub $0 5))")
+    assert render_program(call, named=True) == f"(lambda ({name} $0))"

@@ -228,6 +228,35 @@ def test_interned_outputs_equal_plain_ones(e, name, data):
     _check_interned(e, name, data.draw(st.integers(0, e.size + 1)))
 
 
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PrimitiveError:
+        return PrimitiveError
+
+
+@given(equations(), st.sampled_from(sorted(RULES)))
+@settings(max_examples=500)
+def test_a_rewrite_given_the_subtree_is_the_checked_primitive(e, name):
+    """The chain search calls RULES[name].rewrite(e, i, y) itself, with y
+    taken from its table of e's subtrees and the shape already tested.  At
+    every index whose subtree passes the shape, that rewrite gives what
+    apply_primitive gives, or both raise PrimitiveError; in an open table,
+    with e interned as the search interns it, the very same object."""
+    shape, rewrite = RULES[name]
+    for i, y in enumerate(subtrees(e)):
+        if shape(y):
+            assert _outcome(rewrite, e, i, y) == _outcome(apply_primitive, name, e, i)
+    previous = open_table()
+    try:
+        e = intern(e)
+        for i, y in enumerate(subtrees(e)):
+            if shape(y):
+                assert _outcome(rewrite, e, i, y) is _outcome(apply_primitive, name, e, i)
+    finally:
+        close_table(previous)
+
+
 @pytest.mark.parametrize(
     "text",
     [
