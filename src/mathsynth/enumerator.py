@@ -9,22 +9,33 @@ non-increasing log-prior order and deduplicated, keeping the first (best
 priority) program per state, so a fixed library and budget always give the
 same search.
 
-The chain search's frontier holds one cursor per node: the rank r of the
+The chain search's frontier holds one cursor per state: the rank r of the
 next action to try on it, in the library's best-first action order.  A
-cursor's key is ``(-(logp + a_r), seq, r)``, with logp the node's log prior,
-a_r the log probability of action r and seq the node's creation number, and
-the cursor with the smallest key is expanded next.  Expanding a cursor
-tries action r and moves the cursor on to the next rank the node can
-afford under max_program_cost.  Every expanded cursor counts as one
+state is a tuple (eq, logp, cost, parent, rank), with rank the action that
+made it from parent; a returned program is rebuilt by walking the parents.
+A cursor's key is ``(-(logp + a_r), seq, r)``, with logp the state's log
+prior, a_r the log probability of action r and seq the state's creation
+number, and the cursor with the smallest key is expanded next.  Expanding
+a cursor tries action r and moves the cursor on to the next rank the state
+can afford under max_program_cost.  Every expanded cursor counts as one
 expansion, whether the action applies, fails its precondition, or is
 skipped because its index lies outside the equation or the subtree there
 fails the primitive's shape precondition; max_expansions and patience
 count these.  The keys never repeat, so the expansion order is fully
-determined by them; the frontier is one heap of cursors.
+determined by them.
 
-A popped node is expanded in a run: it keeps the floor, rank after rank,
+The frontier is two queues, and a pop takes the smaller of their heads.
+Every cursor a search makes has a key no smaller than the one being
+expanded, so the expanded keys never decrease.  A new state's log prior is
+minus the key that made it, so the rank-0 cursors of new states are made
+in key order, their seqs increasing: they are appended to a plain list
+read from a head index.  A heap holds the rest: the root's cursor, a new
+state's first cursor when it cannot afford rank 0, and every cursor that
+goes back into the frontier after a run.
+
+A popped state is expanded in a run: it keeps the floor, rank after rank,
 while its next cursor's key is smaller than every key in the frontier, the
-children it adds included, and goes back into the frontier only when
+cursors of its children included, and goes back into the heap only when
 another cursor is smaller.  Every rank of a run counts as one expansion,
 the popped one and each continued one alike, and each is subject to the
 same k, cutoff and wall-clock checks as a pop.  So a run expands exactly
@@ -34,9 +45,11 @@ primitive action tests its rule's shape (the primitive's entry in
 primitives.RULES) on the subtree there and is skipped when it fails;
 otherwise the search calls the rule's rewrite with that subtree itself,
 not primitives.apply_primitive, whose root and range checks hold for every
-state and index it tries.  The table is dropped when the run ends.  The
-loop reads each rank's log probability, step cost, index, shape and
-rewrite from flat lists built once per search.
+state and index it tries.  Where the shape's answer depends on the index
+alone (primitives.shape_at), the search decides it once and calls no
+shape.  The table is dropped when the run ends.  The loop reads each
+rank's log probability, step cost, index, shape and rewrite from flat
+lists built once per search.
 
 Duplicate states are found by identity.  A search opens an equation intern
 table for its length (equations.open_table) and interns the task's input,
@@ -60,12 +73,12 @@ and say why it ended: stop is "k" when it found k programs, "patience" or
 solution or in all, "timeout" when the wall clock ran out, and "frontier"
 when no cursor was left within max_program_cost.  first_solution is the
 expansion count at the first program found, or None.  The stats also say
-where the expansions went: skipped (an index outside the state or a
-subtree that fails the shape), failed (the rewrite or abstraction raised)
-and duplicates (the child was a state already visited).  Every other
-expansion makes a new state, except the one that finds the clock run out,
-so expansions = skipped + failed + duplicates + states - 1, plus one when
-stop is "timeout".
+where the expansions went: index_skips (an index outside the state),
+shape_skips (a subtree that fails the shape), skipped (their sum), failed
+(the rewrite or abstraction raised) and duplicates (the child was a state
+already visited).  Every other expansion makes a new state, except the one
+that finds the clock run out, so expansions = skipped + failed +
+duplicates + states - 1, plus one when stop is "timeout".
 """
 
 from __future__ import annotations
@@ -80,7 +93,7 @@ from typing import Optional
 
 from .equations import Equation, check_solved, close_table, intern, open_table, subtrees
 from .grammar import CTX_TINT, CTX_TSTR, VAR, Library
-from .primitives import RULES, PrimitiveError
+from .primitives import RULES, PrimitiveError, shape_at
 from .primitives import apply_primitive  # noqa: F401  unused here; bench/tracing.py wraps it
 from .programs import (
     Apply,
@@ -146,23 +159,13 @@ def _chain_actions(lib: Library) -> list[_Action]:
     return actions
 
 
-class _ChainNode:
-    __slots__ = ("eq", "logp", "cost", "parent", "action", "seq")
-
-    def __init__(self, eq, logp, cost, parent, action, seq):
-        self.eq = eq
-        self.logp = logp
-        self.cost = cost
-        self.parent = parent
-        self.action = action
-        self.seq = seq
-
-
-def _rebuild_program(node: _ChainNode) -> Term:
+def _rebuild_program(state: tuple, actions: list[_Action]) -> Term:
+    """The program of a search state ``(eq, logp, cost, parent, rank)``:
+    the chain of the actions, ``actions[rank]``, that made it from the root."""
     steps = []
-    while node.action is not None:
-        steps.append(node.action)
-        node = node.parent
+    while state[3] is not None:
+        steps.append(actions[state[4]])
+        state = state[3]
     body: Term = VarRef(0)
     for action in reversed(steps):
         body = Apply(action.head, body)
@@ -197,6 +200,7 @@ def solve_task_with_stats(
 
 
 _INF = float("inf")
+_EMPTY = (_INF, _INF)  # the head of an empty frontier part
 
 
 def _chain_search(task, lib, budget, k, patience):
@@ -209,7 +213,10 @@ def _chain_search(task, lib, budget, k, patience):
     costs = [a.step_cost for a in actions]
     rules = [RULES[a.head.name] if type(a.head) is Prim else None for a in actions]
     indices = [a.lits[0] if r is not None else None for a, r in zip(actions, rules)]
-    shapes = [r.shape if r is not None else None for r in rules]
+    shapes = [
+        shape_at(a.head.name, i) if r is not None else None
+        for a, r, i in zip(actions, rules, indices)
+    ]
     rewrites = [r.rewrite if r is not None else None for r in rules]
     var_logp = lib.table(CTX_TSTR)[VAR][0]
     found: list[tuple[Term, float]] = []
@@ -217,7 +224,7 @@ def _chain_search(task, lib, budget, k, patience):
     max_cost = budget.max_program_cost
 
     root_eq = intern(task.input)
-    root = _ChainNode(root_eq, var_logp, 101, None, None, 0)
+    root = (root_eq, var_logp, 101, None, None)
     first_solution = None
     if check_solved(root_eq) == task.goal:
         found.append((Lambda(VarRef(0)), var_logp))
@@ -226,39 +233,57 @@ def _chain_search(task, lib, budget, k, patience):
             cutoff = min(cutoff, patience)
 
     visited = {root_eq: True}
-    frontier = []  # a heap of cursors
+    heap = []  # cursors (key, seq, rank, state)
+    fifo = []  # rank-0 cursors (key, seq, state) of new states, in key order
+    fifo_head = 0  # fifo[:fifo_head] are expanded
     push = heappush
+    append = fifo.append
 
-    def first_cursor(node: _ChainNode) -> Optional[tuple]:
-        """The node's cursor at the first rank it can afford, or None."""
+    def first_cursor(state: tuple, seq: int) -> Optional[tuple]:
+        """The state's cursor at the first rank it can afford, or None."""
         for rank in range(n_actions):
-            if node.cost + costs[rank] <= max_cost:
-                return (-(node.logp + logps[rank]), node.seq, rank, node)
+            if state[2] + costs[rank] <= max_cost:
+                return (-(state[1] + logps[rank]), seq, rank, state)
         return None
 
-    cursor = first_cursor(root)
+    cursor = first_cursor(root, 0)
     if cursor is not None:
-        push(frontier, cursor)
+        push(heap, cursor)
     # with no actions nothing is expanded, so these are never read
     cost0, logp0 = (costs[0], logps[0]) if actions else (0, 0.0)
-    expansions = skipped = failed = duplicates = 0
+    expansions = index_skips = shape_skips = failed = duplicates = 0
     nodes_made = 0
     timed_out = False
-    node = None  # the node whose run is in progress, at cursor rank
+    state = None  # the state whose run is in progress, at cursor rank
     start = time.monotonic()
-    while (node is not None or frontier) and len(found) < k and expansions < cutoff:
+    while (
+        (state is not None or heap or fifo_head < len(fifo))
+        and len(found) < k
+        and expansions < cutoff
+    ):
         expansions += 1
         if expansions % 1024 == 0 and time.monotonic() - start > budget.wall_timeout:
             timed_out = True
             break
-        if node is None:
-            _, seq, rank, node = heappop(frontier)
-            eq, logp, cost = node.eq, node.logp, node.cost
+        if state is None:
+            # pop the smaller head by (key, seq); seqs are unique, so a
+            # comparison never reaches a rank or a state
+            h = heap[0] if heap else _EMPTY
+            f = fifo[fifo_head] if fifo_head < len(fifo) else _EMPTY
+            if f < h:
+                _, seq, state = f
+                rank = 0
+                fifo_head += 1
+                f = fifo[fifo_head] if fifo_head < len(fifo) else _EMPTY
+            else:
+                _, seq, rank, state = heappop(heap)
+                h = heap[0] if heap else _EMPTY
+            eq, logp, cost = state[0], state[1], state[2]
             table = subtrees(eq)
             n_nodes = len(table)
             # the smallest (key, seq) in the frontier; from here on only
-            # children join it.  Seqs are unique, so they break every tie.
-            top_key, top_seq = frontier[0][:2] if frontier else (_INF, _INF)
+            # children join it
+            top_key, top_seq = min(h[:2], f[:2])
         rewrite = rewrites[rank]
         child_eq = None
         try:
@@ -267,10 +292,15 @@ def _chain_search(task, lib, budget, k, patience):
                 child_eq = apply_abstraction(action.head.abstraction, (eq,) + action.lits)
             else:
                 index = indices[rank]
-                if index < n_nodes and shapes[rank](y := table[index]):
-                    child_eq = rewrite(eq, index, y)
+                if index >= n_nodes:
+                    index_skips += 1
                 else:
-                    skipped += 1
+                    y = table[index]
+                    shape = shapes[rank]
+                    if shape is None or shape(y):
+                        child_eq = rewrite(eq, index, y)
+                    else:
+                        shape_skips += 1
         except (PrimitiveError, EvalError):
             failed += 1
         if child_eq is not None:
@@ -281,22 +311,23 @@ def _chain_search(task, lib, budget, k, patience):
                 nodes_made += 1
                 child_logp = logp + logps[rank]
                 child_cost = cost + costs[rank]
-                child = _ChainNode(
-                    child_eq, child_logp, child_cost, node, actions[rank], nodes_made
-                )
+                child = (child_eq, child_logp, child_cost, state, rank)
                 solution = check_solved(child_eq)
                 if solution is not None and solution == task.goal:
-                    found.append((_rebuild_program(child), child_logp))
+                    found.append((_rebuild_program(child, actions), child_logp))
                     if first_solution is None:
                         first_solution = expansions
                     if patience is not None:
                         cutoff = min(cutoff, expansions + patience)
                 if child_cost + cost0 <= max_cost:
-                    cursor = (-(child_logp + logp0), nodes_made, 0, child)
+                    # expanded keys never decrease, so neither do these
+                    cursor = (-(child_logp + logp0), nodes_made, child)
+                    append(cursor)
                 else:
-                    cursor = first_cursor(child)
+                    cursor = first_cursor(child, nodes_made)
+                    if cursor is not None:
+                        push(heap, cursor)
                 if cursor is not None:
-                    push(frontier, cursor)
                     key = cursor[0]
                     if key < top_key or (key == top_key and nodes_made < top_seq):
                         top_key, top_seq = key, nodes_made
@@ -304,18 +335,18 @@ def _chain_search(task, lib, budget, k, patience):
         while rank < n_actions and cost + costs[rank] > max_cost:
             rank += 1
         if rank == n_actions:
-            node = None
+            state = None
         else:
             key = -(logp + logps[rank])
             if key > top_key or (key == top_key and seq > top_seq):
-                push(frontier, (key, seq, rank, node))
-                node = None
+                push(heap, (key, seq, rank, state))
+                state = None
 
     if timed_out:
         stop = "timeout"
     elif len(found) >= k:
         stop = "k"
-    elif node is None and not frontier:
+    elif state is None and not heap and fifo_head == len(fifo):
         stop = "frontier"
     elif cutoff < budget.max_expansions:
         stop = "patience"
@@ -325,7 +356,9 @@ def _chain_search(task, lib, budget, k, patience):
         "expansions": expansions,
         "states": len(visited),
         "solutions": len(found),
-        "skipped": skipped,
+        "skipped": index_skips + shape_skips,
+        "index_skips": index_skips,
+        "shape_skips": shape_skips,
         "failed": failed,
         "duplicates": duplicates,
         "stop": stop,

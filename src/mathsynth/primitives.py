@@ -23,7 +23,9 @@ The chain search, which lists a state's subtrees once per state, calls the
 rule itself: it tests RULES[name].shape on the subtree y it holds, skips
 the action when the shape rejects y, and otherwise calls rewrite(e, i, y)
 with no other check, since its states are '='-rooted and it tries only
-indices in range.  Every other caller goes through apply_primitive.  A
+indices in range.  It takes each action's shape from shape_at, once per
+search, and calls none where the answer depends on the index alone.
+Every other caller goes through apply_primitive.  A
 shape states a necessary condition only: when it rejects y the primitive
 raises, but when it accepts y the rewrite may still raise on a check the
 shape leaves out, such as dist's shared factor or simplify's zero
@@ -302,6 +304,17 @@ RULES = {
     "multone": Rule(_eq_free, _insert("*", ONE)),
     "divone": Rule(_eq_free, _insert("/", ONE)),
 }
+
+
+def shape_at(name: str, i: int) -> Optional[Callable[[Expr], bool]]:
+    """RULES[name].shape for the subtree at pre-order index i of an
+    equation, or None where every subtree there passes it.  '=' appears only
+    at the root, so _eq_free passes every subtree but the one at index 0,
+    and _any_subtree passes all of them."""
+    shape = RULES[name].shape
+    if shape is _any_subtree or (shape is _eq_free and i > 0):
+        return None
+    return shape
 
 
 def apply_primitive(name: str, e: Equation, i: int) -> Equation:

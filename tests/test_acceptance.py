@@ -298,20 +298,22 @@ def _three_grammars():
 
 def _chain_states(monkeypatch, lib, task, budget):
     """(state, log prior) of every node the chain search creates, in
-    creation order."""
+    creation order.
+
+    The search checks each state it creates once, root first, and returns
+    every state that shows the goal with its log prior, in that order; a
+    check that always shows the goal makes it return them all."""
     created = []
 
-    class RecordingNode(enumerator._ChainNode):
-        __slots__ = ()
-
-        def __init__(self, eq, logp, *rest):
-            super().__init__(eq, logp, *rest)
-            created.append((render_prefix(eq), logp))
+    def shows_goal(e):
+        created.append(render_prefix(e))
+        return task.goal
 
     with monkeypatch.context() as m:
-        m.setattr(enumerator, "_ChainNode", RecordingNode)
-        solve_task_with_stats(task, lib, budget, k=1_000_000)
-    return created
+        m.setattr(enumerator, "check_solved", shows_goal)
+        found, stats = solve_task_with_stats(task, lib, budget, k=1_000_000)
+    assert len(created) == len(found) == stats["states"]
+    return [(eq, logp) for eq, (_, logp) in zip(created, found)]
 
 
 def test_05_enumeration_order_is_monotone_and_deterministic(monkeypatch):

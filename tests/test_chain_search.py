@@ -1,12 +1,14 @@
 """The chain search's runs, shape skips and interned states against one
 plain heap loop.
 
-``heap_solve`` is the search loop without runs, skips or interning, kept
-here as the oracle: it pushes every cursor on one heap keyed
-``(-(logp + a_r), seq, r)`` and applies every action it pops through the
-checked path, ``apply_primitive`` or ``apply_abstraction``.  It counts the
-actions that raised there, which the search splits into skipped and failed
-ones, and the children it had already visited.
+``heap_solve`` is the search loop without runs, skips, interning or a
+separate queue of new states, kept here as the oracle: it pushes every
+cursor on one heap keyed ``(-(logp + a_r), seq, r)`` and applies every
+action it pops through the checked path, ``apply_primitive`` or
+``apply_abstraction``.  Its states are ``_ChainNode`` objects, and it
+rebuilds a program by walking their parents.  It counts the actions that
+raised there, which the search splits into index skips, shape skips and
+failed ones, and the children it had already visited.
 """
 
 import gc
@@ -21,15 +23,15 @@ from mathsynth.enumerator import (
     SearchBudget,
     Task,
     _chain_actions,
-    _ChainNode,
-    _rebuild_program,
     solve_task_with_stats,
 )
 from mathsynth.equations import check_solved, parse_prefix
 from mathsynth.grammar import CTX_TSTR, VAR, Library, fit_grammar
 from mathsynth.primitives import PrimitiveError, apply_primitive
 from mathsynth.programs import (
+    Apply,
     EvalError,
+    IntLit,
     Lambda,
     Prim,
     VarRef,
@@ -39,6 +41,31 @@ from mathsynth.programs import (
     render_program,
     subterms,
 )
+
+
+class _ChainNode:
+    __slots__ = ("eq", "logp", "cost", "parent", "action", "seq")
+
+    def __init__(self, eq, logp, cost, parent, action, seq):
+        self.eq = eq
+        self.logp = logp
+        self.cost = cost
+        self.parent = parent
+        self.action = action
+        self.seq = seq
+
+
+def _rebuild_program(node):
+    steps = []
+    while node.action is not None:
+        steps.append(node.action)
+        node = node.parent
+    body = VarRef(0)
+    for action in reversed(steps):
+        body = Apply(action.head, body)
+        for v in action.lits:
+            body = Apply(body, IntLit(v))
+    return Lambda(body)
 
 
 def heap_solve(task, lib, budget, k=5, patience=None):
@@ -125,7 +152,9 @@ def _same_search(task, lib, budget, k, patience=None):
     got, got_stats = solve_task_with_stats(task, lib, budget, k=k, patience=patience)
     want, want_stats = heap_solve(task, lib, budget, k=k, patience=patience)
     got_stats = dict(got_stats)
-    got_stats["unapplied"] = got_stats.pop("skipped") + got_stats.pop("failed")
+    skipped = got_stats.pop("skipped")
+    assert skipped == got_stats.pop("index_skips") + got_stats.pop("shape_skips")
+    got_stats["unapplied"] = skipped + got_stats.pop("failed")
     assert got_stats == want_stats
     assert [(render_program(p), lp) for p, lp in got] == [
         (render_program(p), lp) for p, lp in want
@@ -165,19 +194,21 @@ def test_skewed_library_matches_single_heap():
 def test_rank_skipping_cost_cap_matches_single_heap(monkeypatch):
     # a node that can afford only the arity-1 abstraction (step cost 101, not
     # 202 or 303) skips the 44 ranks before it: its first cursor is pushed at
-    # a rank >= 1
-    seen = set()
+    # a rank >= 1.  A run pushed back also goes into the heap at a rank >= 1,
+    # but at a rank after one it could afford, so only a cursor whose earlier
+    # ranks are all beyond the cap counts.
+    lib = _skewed_library()
+    costs = [a.step_cost for a in _chain_actions(lib)]
     skipped = []
     push = mathsynth.enumerator.heappush
 
-    def counting_push(frontier, cursor):
-        if cursor[1] not in seen and cursor[2] >= 1:
-            skipped.append(cursor[2])
-        seen.add(cursor[1])
-        push(frontier, cursor)
+    def counting_push(heap, cursor):
+        _, _, rank, state = cursor
+        if rank >= 1 and all(state[2] + c > cap for c in costs[:rank]):
+            skipped.append(rank)
+        push(heap, cursor)
 
     monkeypatch.setattr(mathsynth.enumerator, "heappush", counting_push)
-    lib = _skewed_library()
     for cap in (505, 606, 808):
         _same_search(
             _task("(= (+ x 4) 6)"),
@@ -195,10 +226,10 @@ def test_interrupted_runs_match_single_heap(monkeypatch):
     pushed_back = []
     push = mathsynth.enumerator.heappush
 
-    def counting_push(frontier, cursor):
+    def counting_push(heap, cursor):
         if cursor[2] >= 1:
             pushed_back.append(cursor[2])
-        push(frontier, cursor)
+        push(heap, cursor)
 
     monkeypatch.setattr(mathsynth.enumerator, "heappush", counting_push)
     lib = _skewed_library()
@@ -300,10 +331,11 @@ def test_every_expansion_is_skipped_failed_a_duplicate_or_a_new_state(library):
     visited, or makes a new state; the root is a state no expansion made,
     and the expansion that finds the clock run out does none of these."""
     lib = library()
-    totals = dict.fromkeys(("skipped", "failed", "duplicates"), 0)
+    totals = dict.fromkeys(("index_skips", "shape_skips", "failed", "duplicates"), 0)
     for prefix, budget, k, patience, stop in _STOPS:
         _, stats = solve_task_with_stats(_task(prefix), lib, budget, k, patience)
         assert stats["stop"] == stop
+        assert stats["skipped"] == stats["index_skips"] + stats["shape_skips"]
         accounted = stats["skipped"] + stats["failed"] + stats["duplicates"]
         accounted += stats["states"] - 1
         assert stats["expansions"] - (stop == "timeout") == accounted

@@ -1,7 +1,11 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -405,3 +409,20 @@ def test_input_nested_too_deep_is_an_error_not_a_traceback(tmp_path, capsys, com
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and "nests" in err
+
+
+def test_python_dash_m_mathsynth_runs_the_command():
+    """An uninstalled checkout runs the README's commands as
+    ``python -m mathsynth`` with ``src`` on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "mathsynth", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    for command in ("gen", "train", "solve", "score", "library"):
+        assert command in done.stdout
