@@ -73,14 +73,12 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(
         max_expansions=args.budget_expansions,
         wall_timeout=args.timeout_secs,
-        max_program_cost=args.max_cost,
     )
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument("--budget-expansions", type=int, default=200_000)
     p.add_argument("--timeout-secs", type=float, default=600.0)
-    p.add_argument("--max-cost", type=int, default=10_000)
 
 
 def cmd_gen(args) -> int:

@@ -265,6 +265,7 @@ _TASK_FIELDS = {"equation": str, "goal": (str, int), "id": str, "template_id": s
 def load_corpus(path: str) -> list:
     oracle = GoalOracle()
     tasks = []
+    first_line = {}  # task id -> the line that gave it
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -290,6 +291,11 @@ def load_corpus(path: str) -> list:
             if solved != goal:
                 raise CorpusError(
                     f"{path}:{lineno}: declared goal {goal} but oracle finds {solved}"
+                )
+            if first_line.setdefault(task.id, lineno) != lineno:
+                raise CorpusError(
+                    f"{path}:{lineno}: task id {task.id!r} already given on line "
+                    f"{first_line[task.id]}"
                 )
             tasks.append(task)
     return tasks

@@ -11,27 +11,26 @@ same search.
 
 The chain search's frontier holds one cursor per state: the rank r of the
 next action to try on it, in the library's best-first action order.  A
-state is a tuple (eq, logp, cost, parent, rank), with rank the action that
+state is a tuple (eq, logp, parent, rank), with rank the action that
 made it from parent; a returned program is rebuilt by walking the parents.
 A cursor's key is ``(-(logp + a_r), seq, r)``, with logp the state's log
 prior, a_r the log probability of action r and seq the state's creation
 number, and the cursor with the smallest key is expanded next.  Expanding
-a cursor tries action r and moves the cursor on to the next rank the state
-can afford under max_program_cost.  Every expanded cursor counts as one
-expansion, whether the action applies, fails its precondition, or is
-skipped because its index lies outside the equation or the subtree there
-fails the primitive's shape precondition; max_expansions and patience
-count these.  The keys never repeat, so the expansion order is fully
-determined by them.
+a cursor tries action r and moves the cursor on to rank r + 1.  Every
+expanded cursor counts as one expansion, whether the action applies,
+fails its precondition, or is skipped because its index lies outside the
+equation or the subtree there fails the primitive's shape precondition;
+max_expansions and patience count these.  The keys never repeat, so the
+expansion order is fully determined by them.
 
 The frontier is two queues, and a pop takes the smaller of their heads.
 Every cursor a search makes has a key no smaller than the one being
-expanded, so the expanded keys never decrease.  A new state's log prior is
-minus the key that made it, so the rank-0 cursors of new states are made
-in key order, their seqs increasing: they are appended to a plain list
-read from a head index.  A heap holds the rest: the root's cursor, a new
-state's first cursor when it cannot afford rank 0, and every cursor that
-goes back into the frontier after a run.
+expanded, so the expanded keys never decrease.  Every state's first
+cursor is its rank-0 cursor.  A new state's log prior is minus the key
+that made it, so these cursors are made in key order, their seqs
+increasing, and the root's, seq 0, comes first: they are appended to a
+plain list read from a head index.  A heap holds the rest, the cursors
+that go back into the frontier after a run.
 
 A popped state is expanded in a run: it keeps the floor, rank after rank,
 while its next cursor's key is smaller than every key in the frontier, the
@@ -48,8 +47,8 @@ not primitives.apply_primitive, whose root and range checks hold for every
 state and index it tries.  Where the shape's answer depends on the index
 alone (primitives.shape_at), the search decides it once and calls no
 shape.  The table is dropped when the run ends.  The loop reads each
-rank's log probability, step cost, index, shape and rewrite from flat
-lists built once per search.
+rank's log probability, index, shape and rewrite from flat lists built
+once per search.
 
 Duplicate states are found by identity.  A search opens an equation intern
 table for its length (equations.open_table) and interns the task's input,
@@ -71,14 +70,15 @@ The stats a search returns count its work (expansions, states, solutions)
 and say why it ended: stop is "k" when it found k programs, "patience" or
 "budget" when it spent the expansions it was allowed after its first
 solution or in all, "timeout" when the wall clock ran out, and "frontier"
-when no cursor was left within max_program_cost.  first_solution is the
-expansion count at the first program found, or None.  The stats also say
-where the expansions went: index_skips (an index outside the state),
-shape_skips (a subtree that fails the shape), skipped (their sum), failed
-(the rewrite or abstraction raised) and duplicates (the child was a state
-already visited).  Every other expansion makes a new state, except the one
-that finds the clock run out, so expansions = skipped + failed +
-duplicates + states - 1, plus one when stop is "timeout".
+when no cursor was left, as when the library has no chain actions.
+first_solution is the expansion count at the first program found, or
+None.  The stats also say where the expansions went: index_skips (an
+index outside the state), shape_skips (a subtree that fails the shape),
+skipped (their sum), failed (the rewrite or abstraction raised) and
+duplicates (the child was a state already visited).  Every other
+expansion makes a new state, except the one that finds the clock run out,
+so expansions = skipped + failed + duplicates + states - 1, plus one when
+stop is "timeout".
 """
 
 from __future__ import annotations
@@ -121,11 +121,10 @@ class Task:
 class SearchBudget:
     max_expansions: int = 50_000
     wall_timeout: float = 1000.0
-    max_program_cost: int = 10_000
 
     def __post_init__(self):
-        if self.max_expansions < 0 or self.max_program_cost < 0:
-            raise ValueError("max_expansions and max_program_cost must be >= 0")
+        if self.max_expansions < 0:
+            raise ValueError(f"max_expansions must be >= 0, not {self.max_expansions}")
         if not self.wall_timeout >= 0:  # NaN compares false too
             raise ValueError(f"wall_timeout must be >= 0 seconds, not {self.wall_timeout}")
 
@@ -137,7 +136,6 @@ class _Action:
     suffix: str
     head: Term  # Prim or AbsRef
     lits: tuple
-    step_cost: int
 
 
 def _chain_actions(lib: Library) -> list[_Action]:
@@ -149,23 +147,22 @@ def _chain_actions(lib: Library) -> list[_Action]:
         if arg_ctxs[:1] != (CTX_TSTR,) or any(a != CTX_TINT for a in arg_ctxs[1:]):
             continue  # the variable, or not a chainable equation transformer
         n_int = len(arg_ctxs) - 1
-        step_cost = 100 + (1 + n_int) + 100 * n_int
         prefix = f"({render_program(head)} "
         for lits in itertools.product(LITERAL_RANGE, repeat=n_int):
             logp = log_prob + sum(lit_logp[v] for v in lits)
             suffix = "".join(f" {v}" for v in lits) + ")"
-            actions.append(_Action(logp, prefix, suffix, head, lits, step_cost))
+            actions.append(_Action(logp, prefix, suffix, head, lits))
     actions.sort(key=lambda a: (-a.log_prob, a.prefix, a.suffix))
     return actions
 
 
 def _rebuild_program(state: tuple, actions: list[_Action]) -> Term:
-    """The program of a search state ``(eq, logp, cost, parent, rank)``:
-    the chain of the actions, ``actions[rank]``, that made it from the root."""
+    """The program of a search state ``(eq, logp, parent, rank)``: the
+    chain of the actions, ``actions[rank]``, that made it from the root."""
     steps = []
-    while state[3] is not None:
-        steps.append(actions[state[4]])
-        state = state[3]
+    while state[2] is not None:
+        steps.append(actions[state[3]])
+        state = state[2]
     body: Term = VarRef(0)
     for action in reversed(steps):
         body = Apply(action.head, body)
@@ -210,7 +207,6 @@ def _chain_search(task, lib, budget, k, patience):
     # its rule at the index given by its one literal, an abstraction action
     # has no rule
     logps = [a.log_prob for a in actions]
-    costs = [a.step_cost for a in actions]
     rules = [RULES[a.head.name] if type(a.head) is Prim else None for a in actions]
     indices = [a.lits[0] if r is not None else None for a, r in zip(actions, rules)]
     shapes = [
@@ -221,10 +217,9 @@ def _chain_search(task, lib, budget, k, patience):
     var_logp = lib.table(CTX_TSTR)[VAR][0]
     found: list[tuple[Term, float]] = []
     cutoff = budget.max_expansions
-    max_cost = budget.max_program_cost
 
     root_eq = intern(task.input)
-    root = (root_eq, var_logp, 101, None, None)
+    root = (root_eq, var_logp, None, None)
     first_solution = None
     if check_solved(root_eq) == task.goal:
         found.append((Lambda(VarRef(0)), var_logp))
@@ -233,24 +228,15 @@ def _chain_search(task, lib, budget, k, patience):
             cutoff = min(cutoff, patience)
 
     visited = {root_eq: True}
-    heap = []  # cursors (key, seq, rank, state)
-    fifo = []  # rank-0 cursors (key, seq, state) of new states, in key order
+    heap = []  # put-back cursors (key, seq, rank, state)
+    fifo = []  # rank-0 cursors (key, seq, state) of every state, in key order
     fifo_head = 0  # fifo[:fifo_head] are expanded
     push = heappush
     append = fifo.append
-
-    def first_cursor(state: tuple, seq: int) -> Optional[tuple]:
-        """The state's cursor at the first rank it can afford, or None."""
-        for rank in range(n_actions):
-            if state[2] + costs[rank] <= max_cost:
-                return (-(state[1] + logps[rank]), seq, rank, state)
-        return None
-
-    cursor = first_cursor(root, 0)
-    if cursor is not None:
-        push(heap, cursor)
-    # with no actions nothing is expanded, so these are never read
-    cost0, logp0 = (costs[0], logps[0]) if actions else (0, 0.0)
+    # with no actions the root has no cursor and nothing is expanded
+    logp0 = logps[0] if actions else 0.0
+    if actions:
+        append((-(var_logp + logp0), 0, root))
     expansions = index_skips = shape_skips = failed = duplicates = 0
     nodes_made = 0
     timed_out = False
@@ -278,7 +264,7 @@ def _chain_search(task, lib, budget, k, patience):
             else:
                 _, seq, rank, state = heappop(heap)
                 h = heap[0] if heap else _EMPTY
-            eq, logp, cost = state[0], state[1], state[2]
+            eq, logp = state[0], state[1]
             table = subtrees(eq)
             n_nodes = len(table)
             # the smallest (key, seq) in the frontier; from here on only
@@ -310,8 +296,7 @@ def _chain_search(task, lib, budget, k, patience):
                 visited[child_eq] = True
                 nodes_made += 1
                 child_logp = logp + logps[rank]
-                child_cost = cost + costs[rank]
-                child = (child_eq, child_logp, child_cost, state, rank)
+                child = (child_eq, child_logp, state, rank)
                 solution = check_solved(child_eq)
                 if solution is not None and solution == task.goal:
                     found.append((_rebuild_program(child, actions), child_logp))
@@ -319,21 +304,12 @@ def _chain_search(task, lib, budget, k, patience):
                         first_solution = expansions
                     if patience is not None:
                         cutoff = min(cutoff, expansions + patience)
-                if child_cost + cost0 <= max_cost:
-                    # expanded keys never decrease, so neither do these
-                    cursor = (-(child_logp + logp0), nodes_made, child)
-                    append(cursor)
-                else:
-                    cursor = first_cursor(child, nodes_made)
-                    if cursor is not None:
-                        push(heap, cursor)
-                if cursor is not None:
-                    key = cursor[0]
-                    if key < top_key or (key == top_key and nodes_made < top_seq):
-                        top_key, top_seq = key, nodes_made
+                # expanded keys never decrease, so neither do these
+                key = -(child_logp + logp0)
+                append((key, nodes_made, child))
+                if key < top_key or (key == top_key and nodes_made < top_seq):
+                    top_key, top_seq = key, nodes_made
         rank += 1
-        while rank < n_actions and cost + costs[rank] > max_cost:
-            rank += 1
         if rank == n_actions:
             state = None
         else:

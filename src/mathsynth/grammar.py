@@ -102,16 +102,20 @@ class Library:
         return [p.head.abstraction for p in self.productions if type(p.head) is AbsRef]
 
     def add_abstraction(self, body, origin_iteration: int = 0) -> Abstraction:
-        """Register a new abstraction under the next free fn_<k> name.
+        """Register a new abstraction under fn_<k>, the smallest k that
+        no production is named.
 
         If an equal-bodied abstraction is already present it is returned
         unchanged instead of being duplicated.
         """
-        known = self.abstractions()
-        for a in known:
+        for a in self.abstractions():
             if a.body == body:
                 return a
-        a = Abstraction(body, name=f"fn_{len(known)}", origin_iteration=origin_iteration)
+        taken = {p.name for p in self.productions}
+        k = 0
+        while f"fn_{k}" in taken:
+            k += 1
+        a = Abstraction(body, name=f"fn_{k}", origin_iteration=origin_iteration)
         self.productions.append(Production(AbsRef(a), a.type, 0.0))
         self._tables = None
         return a

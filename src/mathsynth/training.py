@@ -190,9 +190,10 @@ def run_training_loop(
     lib: Library,
     config: RunConfig,
 ) -> TrainingResult:
-    tasks = {t.id: t for t in train_tasks}
-    for t in test_tasks:
-        tasks[t.id] = t
+    tasks = {}
+    for t in [*train_tasks, *test_tasks]:
+        if tasks.setdefault(t.id, t) != t:
+            raise TrainingError(f"task id {t.id!r} names two different tasks")
     best: dict = {}
     frontiers: dict = {}  # task_id -> tuple of candidate programs
     curve: list = []

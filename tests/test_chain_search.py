@@ -37,19 +37,17 @@ from mathsynth.programs import (
     VarRef,
     apply_abstraction,
     parse_program,
-    program_cost,
     render_program,
     subterms,
 )
 
 
 class _ChainNode:
-    __slots__ = ("eq", "logp", "cost", "parent", "action", "seq")
+    __slots__ = ("eq", "logp", "parent", "action", "seq")
 
-    def __init__(self, eq, logp, cost, parent, action, seq):
+    def __init__(self, eq, logp, parent, action, seq):
         self.eq = eq
         self.logp = logp
-        self.cost = cost
         self.parent = parent
         self.action = action
         self.seq = seq
@@ -73,7 +71,7 @@ def heap_solve(task, lib, budget, k=5, patience=None):
     var_logp = lib.table(CTX_TSTR)[VAR][0]
     found = []
     cutoff = budget.max_expansions
-    root = _ChainNode(task.input, var_logp, 101, None, None, 0)
+    root = _ChainNode(task.input, var_logp, None, None, 0)
     first_solution = None
     if check_solved(task.input) == task.goal:
         found.append((Lambda(VarRef(0)), var_logp))
@@ -84,13 +82,9 @@ def heap_solve(task, lib, budget, k=5, patience=None):
     heap = []
 
     def push_cursor(node, rank):
-        while rank < len(actions):
-            action = actions[rank]
-            if node.cost + action.step_cost > budget.max_program_cost:
-                rank += 1
-                continue
-            heapq.heappush(heap, (-(node.logp + action.log_prob), node.seq, rank, node))
-            return
+        if rank < len(actions):
+            key = -(node.logp + actions[rank].log_prob)
+            heapq.heappush(heap, (key, node.seq, rank, node))
 
     push_cursor(root, 0)
     expansions = unapplied = duplicates = 0
@@ -115,9 +109,7 @@ def heap_solve(task, lib, budget, k=5, patience=None):
             continue
         visited[child_eq] = True
         nodes_made += 1
-        child = _ChainNode(
-            child_eq, -neg_logp, node.cost + action.step_cost, node, action, nodes_made
-        )
+        child = _ChainNode(child_eq, -neg_logp, node, action, nodes_made)
         if check_solved(child_eq) == task.goal:
             found.append((_rebuild_program(child), child.logp))
             if first_solution is None:
@@ -164,8 +156,7 @@ def _same_search(task, lib, budget, k, patience=None):
 
 def _skewed_library():
     """Fitted hard toward one primitive chain, with learned abstractions of
-    arity 1, 2 and 3, so actions differ in log probability and step cost,
-    and the cheapest action, the arity-1 abstraction, ranks 44th."""
+    arity 1, 2 and 3, so actions differ in log probability and arity."""
     lib = Library.initial()
     lib.add_abstraction(parse_program("(lambda (simplify (rrotate (sub $0 3) 1) 0))"))
     lib.add_abstraction(parse_program("(lambda (lambda (simplify (swap $1 $0) 0)))"))
@@ -191,51 +182,22 @@ def test_skewed_library_matches_single_heap():
         )
 
 
-def test_rank_skipping_cost_cap_matches_single_heap(monkeypatch):
-    # a node that can afford only the arity-1 abstraction (step cost 101, not
-    # 202 or 303) skips the 44 ranks before it: its first cursor is pushed at
-    # a rank >= 1.  A run pushed back also goes into the heap at a rank >= 1,
-    # but at a rank after one it could afford, so only a cursor whose earlier
-    # ranks are all beyond the cap counts.
-    lib = _skewed_library()
-    costs = [a.step_cost for a in _chain_actions(lib)]
-    skipped = []
-    push = mathsynth.enumerator.heappush
-
-    def counting_push(heap, cursor):
-        _, _, rank, state = cursor
-        if rank >= 1 and all(state[2] + c > cap for c in costs[:rank]):
-            skipped.append(rank)
-        push(heap, cursor)
-
-    monkeypatch.setattr(mathsynth.enumerator, "heappush", counting_push)
-    for cap in (505, 606, 808):
-        _same_search(
-            _task("(= (+ x 4) 6)"),
-            lib,
-            SearchBudget(max_expansions=20_000, max_program_cost=cap),
-            k=4,
-        )
-    assert skipped
-
-
 def test_interrupted_runs_match_single_heap(monkeypatch):
     # under the skewed library, a child or another node's cursor often beats
     # the next rank of the node being expanded, which then goes back into
-    # the frontier at a rank >= 1: the only way such a cursor is pushed
+    # the frontier: the only cursors the heap takes
     pushed_back = []
     push = mathsynth.enumerator.heappush
 
     def counting_push(heap, cursor):
-        if cursor[2] >= 1:
-            pushed_back.append(cursor[2])
+        pushed_back.append(cursor[2])
         push(heap, cursor)
 
     monkeypatch.setattr(mathsynth.enumerator, "heappush", counting_push)
     lib = _skewed_library()
     for prefix in ("(= (* 5 x) 3)", "(= (- (* 3 x) 2) 7)", "(= (+ x 4) 6)"):
         _same_search(_task(prefix), lib, SearchBudget(max_expansions=15_000), k=3)
-    assert pushed_back
+    assert pushed_back and min(pushed_back) >= 1
 
 
 def _library_of_calls():
@@ -250,8 +212,8 @@ def _library_of_calls():
 _CALL_TASKS = ("(= (* 3 x) 6)", "(= (+ x 3) 5)", "(= x (/ 6 2))")
 
 
-def _found(prefix, lib, max_cost=10_000):
-    budget = SearchBudget(max_expansions=5_000, max_program_cost=max_cost)
+def _found(prefix, lib):
+    budget = SearchBudget(max_expansions=5_000)
     return solve_task_with_stats(_task(prefix), lib, budget, k=10)[0]
 
 
@@ -263,21 +225,6 @@ def test_a_returned_log_prior_is_the_library_prior():
             assert logp == pytest.approx(lib.log_prior(program), abs=1e-9)
             heads.update(render_program(t, named=True) for t in subterms(program))
     assert {"fn_0", "fn_1", "fn_2", "simplify"} <= heads
-
-
-def test_the_cost_cap_admits_a_program_at_its_cost_and_not_below():
-    # pins the search's step cost, 100 + (1 + n_int) + 100 * n_int for an
-    # action with n_int integer arguments, and its root cost 101, to
-    # programs.program_cost
-    lib = _library_of_calls()
-    checked = 0
-    for prefix in _CALL_TASKS:
-        for program, _ in _found(prefix, lib):
-            cost = program_cost(program)
-            assert program in [p for p, _ in _found(prefix, lib, max_cost=cost)]
-            assert program not in [p for p, _ in _found(prefix, lib, max_cost=cost - 1)]
-            checked += 1
-    assert checked >= 5
 
 
 def _closed():
@@ -321,7 +268,9 @@ _STOPS = [
     ("(= x (/ 6 2))", SearchBudget(max_expansions=300_000), 8, 1_000, "patience"),
     ("(= (+ (* 3 x) (* 4 x)) 9)", SearchBudget(max_expansions=3_000), 1, None, "budget"),
     ("(= (+ (* 3 x) (* 4 x)) 9)", SearchBudget(wall_timeout=0.0), 1, None, "timeout"),
-    ("(= (- (* 3 x) 2) 7)", SearchBudget(max_program_cost=605), 1, None, "frontier"),
+    # searched with a library that has no chain actions, so the root has no
+    # cursor
+    ("(= (- (* 3 x) 2) 7)", SearchBudget(), 1, None, "frontier"),
 ]
 
 
@@ -333,7 +282,8 @@ def test_every_expansion_is_skipped_failed_a_duplicate_or_a_new_state(library):
     lib = library()
     totals = dict.fromkeys(("index_skips", "shape_skips", "failed", "duplicates"), 0)
     for prefix, budget, k, patience, stop in _STOPS:
-        _, stats = solve_task_with_stats(_task(prefix), lib, budget, k, patience)
+        searched = Library([]) if stop == "frontier" else lib
+        _, stats = solve_task_with_stats(_task(prefix), searched, budget, k, patience)
         assert stats["stop"] == stop
         assert stats["skipped"] == stats["index_skips"] + stats["shape_skips"]
         accounted = stats["skipped"] + stats["failed"] + stats["duplicates"]

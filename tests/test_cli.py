@@ -168,13 +168,11 @@ def test_solve_warns_when_the_wall_timeout_fires(tmp_path, capsys, caplog):
     "argv, message",
     [
         (["solve", "--budget-expansions", "-5"], "max_expansions"),
-        (["solve", "--max-cost", "-3"], "max_program_cost"),
         (["solve", "--timeout-secs", "-1"], "wall_timeout"),
         (["solve", "--timeout-secs", "nan"], "wall_timeout"),
         (["train", "--patience", "-1"], "patience"),
     ],
-    ids=["negative-expansions", "negative-cost", "negative-timeout", "nan-timeout",
-         "negative-patience"],
+    ids=["negative-expansions", "negative-timeout", "nan-timeout", "negative-patience"],
 )
 def test_a_budget_that_cannot_mean_anything_is_an_error(tmp_path, capsys, argv, message):
     tasks = tmp_path / "tasks.jsonl"
@@ -328,6 +326,18 @@ def test_task_line_that_is_not_an_object_is_an_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{path}:1:" in err
+
+
+def test_a_task_id_that_names_two_tasks_is_an_error(tmp_path, capsys):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_tasks(str(train), [Task("t/0", "t", parse_prefix("(= (+ x 4) 6)"), Fraction(2))])
+    save_tasks(str(test), [Task("t/0", "t", parse_prefix("(= (+ x 3) 6)"), Fraction(3))])
+    rc = main(["train", "--train", str(train), "--test", str(test), "--iterations", "0",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "'t/0'" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

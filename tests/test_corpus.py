@@ -174,6 +174,14 @@ def test_load_corpus_rejects_wrongly_typed_fields(tmp_path, field, value):
         load_corpus(str(path))
 
 
+def test_load_corpus_rejects_an_id_given_twice(tmp_path):
+    path = tmp_path / "twice.jsonl"
+    other = {**TASK_RECORD, "equation": "(= (+ x 2) 5)", "goal": "3"}
+    path.write_text(json.dumps(TASK_RECORD) + "\n\n" + json.dumps(other) + "\n")
+    with pytest.raises(CorpusError, match="twice.jsonl:3: task id 'x_plus_b-000/0' .* line 1"):
+        load_corpus(str(path))
+
+
 def test_load_corpus_accepts_an_integer_goal(tmp_path):
     path = tmp_path / "int_goal.jsonl"
     path.write_text(json.dumps({**TASK_RECORD, "goal": 4}) + "\n")

@@ -60,6 +60,19 @@ def test_add_abstraction_names_sequentially_and_dedups():
     assert len(lib.abstractions()) == 2
 
 
+def test_add_abstraction_takes_a_name_no_production_has():
+    lib = Library.initial()
+    lib.add_abstraction(parse_program("(lambda (sub $0 5))"))
+    doc = lib.to_dict()
+    doc["productions"][-1]["name"] = "fn_1"  # as a checkpoint may name it
+    loaded = Library.from_dict(doc)
+    added = loaded.add_abstraction(parse_program("(lambda (add $0 3))"))
+    assert added.name == "fn_0"
+    again = loaded.add_abstraction(parse_program("(lambda (add $0 4))"))
+    assert again.name == "fn_2"
+    assert Library.from_dict(loaded.to_dict()).to_dict() == loaded.to_dict()
+
+
 def test_abstractions_participate_in_prior():
     lib = Library.initial()
     a = lib.add_abstraction(parse_program("(lambda (simplify (rrotate $0 1) 0))"))

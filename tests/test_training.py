@@ -115,6 +115,19 @@ def test_dedup_frontier_caps_and_drops_duplicates():
     assert kept[1:] == tuple(distinct[:7])
 
 
+def test_an_id_that_names_two_tasks_is_an_error(tmp_path):
+    train, test, lib, config = seeded_setup()
+    clash = Task(train[0].id, test[0].template_id, test[0].input, test[0].goal)
+    assert clash != train[0]
+    with pytest.raises(TrainingError, match=repr(train[0].id)):
+        run_training_loop(train, [clash], lib, config)
+    with pytest.raises(TrainingError, match=repr(train[0].id)):
+        run_training_loop(train + [clash], [], lib, config)
+    # the same task listed in both sets is one task
+    config = RunConfig(iterations=0, out_dir=str(tmp_path))
+    assert run_training_loop(train, [train[0]], lib, config).curve == []
+
+
 def test_zero_iterations_leaves_library_untouched(tmp_path):
     train, test, lib, _ = seeded_setup()
     before = lib.to_dict()
