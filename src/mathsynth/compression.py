@@ -1,19 +1,22 @@
 """Corpus compression: find the abstraction that best shortens a program
 corpus, then rewrite the corpus to call it.
 
-A candidate is either a whole program (no holes; duplicates collapse to a
-single library call) or a lambda-free application fragment with typed holes
-at argument positions.  Holes become the abstraction's parameters in order
-of first occurrence; a fragment may not contain a bare de Bruijn variable,
-since the variable's binder would be left outside the extracted body.
+A candidate is a pattern: a term whose leaves may be typed argument holes.
+It is either a whole program, a lambda with no holes (duplicates collapse
+to a single library call), or a lambda-free application fragment with holes
+at argument positions.  Holes are numbered from 0 in the order they first
+occur, and each is used once, so hole i is the abstraction's i-th
+parameter.  A fragment may not contain a bare de Bruijn variable, since the
+variable's binder would be left outside the extracted body.
 
 Utility follows the corpus-compression accounting: the abstraction pays its
 own cost once, and every program contributes the best saving over its match
 sites, floored at zero.  With cost(site) = concrete pattern cost plus filler
 costs, the saving at any site of a fixed pattern is the same:
-concrete_cost - 100 - arity.  Search is branch-and-bound over top-down hole
-expansions; the bound assumes every remaining hole resolves for free, which
-never underestimates a completion's utility.
+concrete_cost - 100 - arity.  Search is branch-and-bound that grows a
+pattern top-down, leftmost hole first, so a partial pattern is the list of
+its pre-order pieces; the bound assumes every remaining hole resolves for
+free, which never underestimates a completion's utility.
 
 The rewrite pass replaces leftmost-outermost non-overlapping matches and
 recurses into the argument fillers, so nested occurrences still compress.
@@ -21,7 +24,6 @@ recurses into the argument fillers, so nested occurrences still compress.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +44,7 @@ from .programs import (
     program_cost,
     render_program,
     spine,
+    split_type,
     subterms,
 )
 
@@ -54,7 +57,7 @@ class CompressionError(Exception):
 
 @dataclass(frozen=True)
 class _PHole:
-    """Pattern argument hole; index is assigned in first-occurrence order."""
+    """Pattern argument hole: parameter ``index`` of the abstraction."""
 
     index: int
     type: str
@@ -62,11 +65,12 @@ class _PHole:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A fragment with argument holes, or a whole program when arity is 0."""
+    """A term whose holes are numbered from 0 in the order they first
+    occur, each used once; ``arity`` is their count.  A whole program is a
+    pattern with no holes whose term is a lambda."""
 
     term: Term  # may contain _PHole leaves
     arity: int
-    whole_program: bool = False
 
 
 def type_of(term: Term) -> object:
@@ -76,8 +80,6 @@ def type_of(term: Term) -> object:
         return TINT
     if tt is VarRef:
         return TSTR
-    if tt is _PHole:
-        return term.type
     if tt is Prim:
         return PRIM_TYPES[term.name]
     if tt is AbsRef:
@@ -88,9 +90,7 @@ def type_of(term: Term) -> object:
     t = type_of(head)
     for _ in args:
         if not is_arrow(t):
-            raise CompressionError(
-                f"over-applied term {render_program(term, hole=_render_hole)}"
-            )
+            raise CompressionError(f"over-applied term {render_program(term)}")
         t = t[2]
     return t
 
@@ -104,31 +104,28 @@ def render_pattern(p: Pattern) -> str:
 
 
 def subtrees(term: Term):
-    """Application-structure subtrees, pre-order; skips lambda wrappers and
-    does not enter abstraction bodies."""
+    """Application-structure subtrees, pre-order: the term itself, then
+    those of a lambda's body or of each argument of an application.  Does
+    not enter abstraction bodies."""
+    yield term
     tt = type(term)
     if tt is Lambda:
         yield from subtrees(term.body)
-        return
-    yield term
-    if tt is Apply:
+    elif tt is Apply:
         for a in spine(term)[1]:
             yield from subtrees(a)
 
 
 def match_pattern(pattern_term, site: Term) -> Optional[list]:
-    """Fillers per hole index if the pattern matches the site, else None."""
-    fillers: dict = {}
+    """The fillers of the pattern's holes in hole order, if the pattern
+    matches the site, else None."""
+    fillers = []
 
     def walk(p, s) -> bool:
         tp = type(p)
         if tp is _PHole:
-            if type_of(s) != p.type:
-                return False
-            if p.index in fillers:
-                return fillers[p.index] == s
-            fillers[p.index] = s
-            return True
+            fillers.append(s)
+            return type_of(s) == p.type
         ts = type(s)
         if tp is not ts:
             return False
@@ -144,14 +141,10 @@ def match_pattern(pattern_term, site: Term) -> Optional[list]:
             return walk(p.body, s.body)
         return walk(p.fn, s.fn) and walk(p.arg, s.arg)
 
-    if not walk(pattern_term, site):
-        return None
-    return [fillers[i] for i in sorted(fillers)]
+    return fillers if walk(pattern_term, site) else None
 
 
 def abstraction_from_pattern(p: Pattern) -> Abstraction:
-    if p.whole_program:
-        return Abstraction(p.term)
     body = map_leaves(
         p.term, lambda t: VarRef(p.arity - 1 - t.index) if type(t) is _PHole else t
     )
@@ -162,11 +155,10 @@ def abstraction_from_pattern(p: Pattern) -> Abstraction:
 
 def utility(p: Pattern, corpus: Corpus) -> int:
     """Exact compression utility of a pattern against a corpus."""
-    total = -program_cost(p.term if p.whole_program else abstraction_from_pattern(p).body)
+    total = -program_cost(abstraction_from_pattern(p).body)
     for _, prog in corpus:
         best = 0
-        sites = [prog] if p.whole_program else subtrees(prog)
-        for site in sites:
+        for site in subtrees(prog):
             fillers = match_pattern(p.term, site)
             if fillers is None:
                 continue
@@ -194,15 +186,7 @@ def rewrite_with_abstraction(p: Pattern, corpus: Corpus) -> Corpus:
             return Apply(rw(term.fn), rw(term.arg))
         return term
 
-    out_corpus = []
-    for task_id, prog in corpus:
-        if p.whole_program:
-            out_corpus.append(
-                (task_id, AbsRef(a) if prog == p.term else prog)
-            )
-        else:
-            out_corpus.append((task_id, rw(prog)))
-    return out_corpus
+    return [(task_id, rw(prog)) for task_id, prog in corpus]
 
 
 # --- search -------------------------------------------------------------------
@@ -216,25 +200,21 @@ class RoundInfo:
     candidates_scored: int
 
 
-def _fill_hole(term, replacement):
-    tt = type(term)
-    if tt is _PHole and term.index == -1:
-        return replacement, True
-    if tt is Apply:
-        f, ok = _fill_hole(term.fn, replacement)
-        if ok:
-            return Apply(f, term.arg), True
-        a, ok = _fill_hole(term.arg, replacement)
-        return (Apply(term.fn, a) if ok else term), ok
-    return term, False
+def _build(pieces: tuple) -> Term:
+    """The term whose pre-order pieces are ``pieces``: each a hole, or a
+    ``(head, n_args)`` pair followed by the pieces of its arguments."""
+    it = iter(pieces)
 
+    def take():
+        piece = next(it)
+        if type(piece) is _PHole:
+            return piece
+        term, n_args = piece
+        for _ in range(n_args):
+            term = Apply(term, take())
+        return term
 
-def _assign_hole_indices(term):
-    """Number the holes 0, 1, ... in first-occurrence order."""
-    count = itertools.count()
-    return map_leaves(
-        term, lambda t: _PHole(next(count), t.type) if type(t) is _PHole else t
-    )
+    return take()
 
 
 def best_pattern(
@@ -272,9 +252,10 @@ def best_pattern(
         if type(prog) is Lambda and prog not in seen:
             seen[prog] = True
             if max_pattern_nodes is None or _node_count(prog) <= max_pattern_nodes:
-                consider(Pattern(prog, 0, whole_program=True))
+                consider(Pattern(prog, 0))
 
-    # fragment patterns, grown top-down from a typed root hole
+    # fragment patterns, grown top-down from a typed root hole; a program's
+    # own lambda has an arrow type, so no root type admits it
     all_sites = []
     for pi, (_, prog) in enumerate(corpus):
         for s in subtrees(prog):
@@ -286,80 +267,62 @@ def best_pattern(
         ]
         if not sites:
             continue
-        # state: pattern term with -1-indexed open holes (leftmost first),
-        # pending per-match subtrees per hole, fillers chosen so far
-        root = _PHole(-1, root_type)
-        stack = [(root, [root_type], 0, 0, False, [(pi, c, (s,), ()) for pi, s, c in sites])]
+        # state: the pattern's pre-order pieces so far, the types of its open
+        # holes (leftmost first), its concrete cost, node count and number of
+        # argument holes, and per match the program, the site's cost and the
+        # subtrees that the open holes stand for
+        stack = [((), (root_type,), 0, 1, 0, [(pi, c, (s,)) for pi, s, c in sites])]
         while stack:
-            term, hole_types, cc, n_args, has_prim, matches = stack.pop()
+            pieces, hole_types, cc, nodes, n_args, matches = stack.pop()
             if not matches:
                 continue
             if not hole_types:
-                if has_prim and n_args >= 1:
-                    pat = Pattern(_assign_hole_indices(term), n_args)
-                    consider(pat)
+                if n_args:
+                    consider(Pattern(_build(pieces), n_args))
                 continue
             # admissible bound: every remaining hole resolves for free
             per_prog: dict = {}
-            for pi, site_cost, _, _ in matches:
+            for pi, site_cost, _ in matches:
                 per_prog[pi] = max(per_prog.get(pi, 0), site_cost - 100)
             bound = sum(v for v in per_prog.values() if v > 0) - cc
             if best_u is not None and bound < best_u:
                 continue
             ht = hole_types[0]
             rest = hole_types[1:]
-            # choice 1: make this hole an argument
-            if n_args < max_arity:
-                new_matches = [
-                    (pi, sc, pending[1:], fillers + (pending[0],))
-                    for pi, sc, pending, fillers in matches
-                ]
-                filled, _ = _fill_hole(term, _PHole(10_000 + n_args, ht))
-                stack.append((filled, rest, cc, n_args + 1, has_prim, new_matches))
+            # choice 1: make this hole an argument; a bare hole at the root
+            # would hold no Prim or AbsRef, so it is no candidate
+            if pieces and n_args < max_arity:
+                new_matches = [(pi, sc, pending[1:]) for pi, sc, pending in matches]
+                stack.append(
+                    (pieces + (_PHole(n_args, ht),), rest, cc, nodes, n_args + 1,
+                     new_matches)
+                )
             # choice 2: expand to a concrete head drawn from the match sites
             heads: dict = {}
-            for pi, sc, pending, fillers in matches:
+            for pi, sc, pending in matches:
                 head, args = spine(pending[0])
                 th = type(head)
                 if th is VarRef or th is Lambda:
                     continue  # a bare variable cannot be extracted
                 key = render_program(head) + f"/{len(args)}"
                 heads.setdefault(key, (head, len(args), []))[2].append(
-                    (pi, sc, pending, fillers, args)
+                    (pi, sc, tuple(args) + pending[1:])
                 )
             for key in sorted(heads):
-                head, n_head_args, sub_matches = heads[key]
-                arg_types = _head_arg_types(head)
+                head, n_head_args, new_matches = heads[key]
+                arg_types = split_type(type_of(head))[0]
                 if len(arg_types) < n_head_args:
                     continue
-                new_term_piece: Term = head
-                new_types = []
-                for at in arg_types[:n_head_args]:
-                    new_term_piece = Apply(new_term_piece, _PHole(-1, at))
-                    new_types.append(at)
-                filled, _ = _fill_hole(term, new_term_piece)
-                if max_pattern_nodes is not None and _node_count(filled) > max_pattern_nodes:
+                # the head takes the hole's place and adds n applications and n holes
+                new_nodes = nodes + 2 * n_head_args
+                if max_pattern_nodes is not None and new_nodes > max_pattern_nodes:
                     continue
-                new_matches = [
-                    (pi, sc, tuple(args) + pending[1:], fillers)
-                    for pi, sc, pending, fillers, args in sub_matches
-                ]
-                new_has_prim = has_prim or type(head) in (Prim, AbsRef)
                 stack.append(
-                    (filled, new_types + rest, cc + 100 + n_head_args,
-                     n_args, new_has_prim, new_matches)
+                    (pieces + ((head, n_head_args),), arg_types[:n_head_args] + rest,
+                     cc + 100 + n_head_args, new_nodes, n_args, new_matches)
                 )
 
     return best, (best_u if best_u is not None else 0), scored
-
-
-def _head_arg_types(head) -> list:
-    t = type_of(head)
-    out = []
-    while is_arrow(t):
-        out.append(t[1])
-        t = t[2]
-    return out
 
 
 def _node_count(term) -> int:

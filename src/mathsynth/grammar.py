@@ -39,11 +39,11 @@ from .programs import (
     TSTR,
     VarRef,
     arrow,
-    is_arrow,
     parse_program,
     render_program,
     render_type,
     spine,
+    split_type,
     subterms,
 )
 
@@ -68,20 +68,6 @@ class Production:
     def name(self) -> str:
         head = self.head
         return head.name if type(head) is Prim else head.abstraction.name
-
-    def result_type(self):
-        t = self.type
-        while is_arrow(t):
-            t = t[2]
-        return t
-
-    def arg_types(self) -> tuple:
-        out = []
-        t = self.type
-        while is_arrow(t):
-            out.append(t[1])
-            t = t[2]
-        return tuple(out)
 
 
 class Library:
@@ -128,12 +114,13 @@ class Library:
         tint_entries = [(IntLit(v), 0.0, ()) for v in LITERAL_RANGE]
         inner_entries = list(tint_entries)
         for p in self.productions:
-            if p.result_type() == TSTR:
+            arg_types, result_type = split_type(p.type)
+            if result_type == TSTR:
                 entries, int_ctx = tstr_entries, CTX_TINT
             else:
                 # integer producers take only literal arguments
                 entries, int_ctx = tint_entries, CTX_TINT_INNER
-            ctxs = tuple(CTX_TSTR if a == TSTR else int_ctx for a in p.arg_types())
+            ctxs = tuple(CTX_TSTR if a == TSTR else int_ctx for a in arg_types)
             entries.append((p.head, p.log_weight, ctxs))
 
         def normalize(entries):
@@ -236,8 +223,14 @@ class Library:
                 prod = Production(Prim(name), PRIM_TYPES[name], pd["log_weight"])
             else:
                 _check_fields(pd, "checkpoint abstraction", _ABSTRACTION_FIELDS)
+                origin = pd.get("origin_iteration", 0)
+                if type(origin) is not int:
+                    raise GrammarError(
+                        f"checkpoint abstraction {name!r} field 'origin_iteration'"
+                        f" has a value of type {type(origin).__name__}"
+                    )
                 body = parse_program(pd["body"], lib)
-                a = Abstraction(body, name=name, origin_iteration=pd.get("origin_iteration", 0))
+                a = Abstraction(body, name=name, origin_iteration=origin)
                 if a in bodies:
                     raise GrammarError(
                         f"checkpoint abstractions {bodies[a]!r} and {name!r} have the same body"
@@ -245,7 +238,7 @@ class Library:
                 bodies[a] = name
                 _check_name(a, [*lib.abstractions(), a])
                 prod = Production(AbsRef(a), a.type, pd["log_weight"])
-                if len(prod.arg_types()) != a.arity:
+                if len(split_type(a.type)[0]) != a.arity:
                     # the search and apply_abstraction pass exactly arity arguments
                     raise GrammarError(
                         f"abstraction {name!r} in checkpoint returns a function;"
@@ -268,13 +261,13 @@ _ABSTRACTION_FIELDS = {"body": str}
 
 def _check_fields(d, what: str, fields: dict) -> None:
     """GrammarError unless ``d`` is a dict holding every field with a value
-    of its type."""
+    of its type; a JSON ``true`` or ``false`` is no number."""
     if not isinstance(d, dict):
         raise GrammarError(f"{what} must be a JSON object, not {type(d).__name__}")
     for key, types in fields.items():
         if key not in d:
             raise GrammarError(f"{what} lacks the field {key!r}")
-        if not isinstance(d[key], types):
+        if not isinstance(d[key], types) or type(d[key]) is bool:
             raise GrammarError(
                 f"{what} field {key!r} has a value of type {type(d[key]).__name__}"
             )

@@ -80,6 +80,16 @@ def is_arrow(t) -> bool:
     return type(t) is tuple and t[0] == "->"
 
 
+def split_type(t) -> tuple:
+    """(argument types, result type): split_type(arrow(a, b, c)) is
+    ((a, b), c), and split_type(a) is ((), a)."""
+    args = []
+    while is_arrow(t):
+        args.append(t[1])
+        t = t[2]
+    return tuple(args), t
+
+
 def render_type(t) -> str:
     """``tstr -> tint -> tstr``; a type variable, an int during inference,
     renders as ``t<n>``."""

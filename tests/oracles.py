@@ -6,11 +6,12 @@ verify_goal checks a task's label by substitution, independently of the
 symbolic solver that produced it.
 """
 
+import itertools
+
 from mathsynth.compression import (
     CompressionError,
     Corpus,
     Pattern,
-    _assign_hole_indices,
     _node_count,
     _PHole,
     render_pattern,
@@ -20,7 +21,17 @@ from mathsynth.compression import (
 )
 from mathsynth.enumerator import Task
 from mathsynth.equations import eval_at
-from mathsynth.programs import AbsRef, Apply, Lambda, Prim, Term, VarRef, spine, subterms
+from mathsynth.programs import (
+    AbsRef,
+    Apply,
+    Lambda,
+    Prim,
+    Term,
+    VarRef,
+    map_leaves,
+    spine,
+    subterms,
+)
 
 
 def exhaustive_oracle(
@@ -66,7 +77,7 @@ def exhaustive_oracle(
 
     for _, prog in corpus:
         if type(prog) is Lambda and _node_count(prog) <= max_pattern_nodes:
-            add(Pattern(prog, 0, whole_program=True))
+            add(Pattern(prog, 0))
         for site in subtrees(prog):
             for term, holes in anti_instances(site):
                 if holes < 1 or holes > max_arity:
@@ -75,8 +86,7 @@ def exhaustive_oracle(
                     continue
                 if not any(type(t) in (Prim, AbsRef) for t in subterms(term)):
                     continue
-                pat = Pattern(_assign_hole_indices(term), holes)
-                add(pat)
+                add(Pattern(_number_holes(term), holes))
 
     if not candidates:
         raise CompressionError("no candidate patterns in corpus")
@@ -91,6 +101,13 @@ def exhaustive_oracle(
             best_key, best_pat, best_u = key, pat, u
     return best_pat, best_u
 
+
+def _number_holes(term: Term) -> Term:
+    """Number the holes 0, 1, ... in the order they first occur."""
+    count = itertools.count()
+    return map_leaves(
+        term, lambda t: _PHole(next(count), t.type) if type(t) is _PHole else t
+    )
 
 
 def verify_goal(task: Task) -> bool:

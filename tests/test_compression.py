@@ -18,6 +18,9 @@ from mathsynth.compression import (
 from mathsynth.equations import parse_prefix
 from mathsynth.programs import (
     AbsRef,
+    Apply,
+    Lambda,
+    VarRef,
     evaluate,
     parse_program,
     program_cost,
@@ -54,12 +57,15 @@ def test_rounds_must_be_positive():
         compress_detailed(corp("(lambda (sub $0 5))"), rounds=0)
 
 
+SHARED_FRAGMENT = (
+    "(lambda (simplify (rrotate (sub $0 3) 1) 0))",
+    "(lambda (simplify (rrotate (add $0 3) 1) 0))",
+    "(lambda (simplify (rrotate (div (swap $0 1) 3) 1) 0))",
+)
+
+
 def test_shared_fragment_with_hole_is_found():
-    corpus = corp(
-        "(lambda (simplify (rrotate (sub $0 3) 1) 0))",
-        "(lambda (simplify (rrotate (add $0 3) 1) 0))",
-        "(lambda (simplify (rrotate (div (swap $0 1) 3) 1) 0))",
-    )
+    corpus = corp(*SHARED_FRAGMENT)
     pattern, u, _ = best_pattern(corpus)
     assert render_pattern(pattern) == "(simplify (rrotate ?0 1) 0)"
     assert u == utility(pattern, corpus)
@@ -69,7 +75,7 @@ def test_shared_fragment_with_hole_is_found():
 
 def test_unmatched_pattern_utility_is_minus_own_cost():
     corpus = corp("(lambda (sub $0 5))")
-    stray = Pattern(parse_program("(lambda (add $0 9))"), 0, whole_program=True)
+    stray = Pattern(parse_program("(lambda (add $0 9))"), 0)
     assert utility(stray, corpus) == -program_cost(stray.term)
 
 
@@ -84,15 +90,40 @@ def test_rewrite_preserves_evaluation():
         assert evaluate(before, e)[0] == evaluate(after, e)[0]
 
 
-def test_rewrite_replaces_leftmost_outermost_without_overlap():
-    a = abstraction_from_pattern(
-        Pattern(parse_program("(lambda (simplify $0 0))"), 0, whole_program=True)
-    )
+def test_rewrite_leaves_a_differing_whole_program_as_it_is():
     corpus = corp("(lambda (simplify (simplify $0 0) 0))")
     out = rewrite_with_abstraction(
         best_pattern(corp(*["(lambda (simplify $0 0))"] * 2))[0], corpus
     )
     assert out == corpus
+
+
+def test_rewrite_replaces_leftmost_outermost_then_inside_the_filler():
+    pattern = best_pattern(corp(*SHARED_FRAGMENT))[0]
+    fn = AbsRef(abstraction_from_pattern(pattern))
+    nested = corp("(lambda (simplify (rrotate (simplify (rrotate $0 1) 0) 1) 0))")
+    [(_, out)] = rewrite_with_abstraction(pattern, nested)
+    assert out == Lambda(Apply(fn, Apply(fn, VarRef(0))))
+
+
+@pytest.mark.parametrize(
+    "texts, max_nodes, render, u, scored",
+    [
+        (SHARED_FRAGMENT, None, "(simplify (rrotate ?0 1) 0)", 404, 31),
+        (SHARED_FRAGMENT, 7, "(rrotate ?0 1)", 0, 12),
+        (["(lambda (sub $0 5))"] * 3, None, "(lambda (sub $0 5))", 306, 3),
+    ],
+    ids=["fragment", "fragment-7-nodes", "whole-program"],
+)
+def test_search_scores_a_fixed_number_of_candidates(texts, max_nodes, render, u, scored):
+    # the benchmark compares candidates_scored exactly, as a work count
+    pattern, got_u, got_scored = best_pattern(corp(*texts), max_pattern_nodes=max_nodes)
+    assert (render_pattern(pattern), got_u, got_scored) == (render, u, scored)
+
+
+def test_each_compression_round_scores_a_fixed_number_of_candidates():
+    _, info, _ = compress_detailed(corp(*SHARED_FRAGMENT))
+    assert [r.candidates_scored for r in info] == [31, 24]
 
 
 def test_round_utility_matches_realized_saving_for_fragments():

@@ -171,6 +171,31 @@ def test_checkpoint_that_lists_a_production_twice_is_rejected(extra, named):
         Library.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("iteration", True),
+        ("var_log_weight", True),
+        ("log_weight", False),
+        ("origin_iteration", "abc"),
+        ("origin_iteration", 1.5),
+        ("origin_iteration", None),
+        ("origin_iteration", [1]),
+        ("origin_iteration", True),
+    ],
+    ids=["iteration-bool", "var-weight-bool", "log-weight-bool", "origin-str",
+         "origin-float", "origin-null", "origin-list", "origin-bool"],
+)
+def test_checkpoint_field_of_the_wrong_type_is_rejected(field, value):
+    lib = Library.initial()
+    lib.add_abstraction(parse_program("(lambda (sub $0 5))"), origin_iteration=1)
+    doc = lib.to_dict()
+    entry = doc if field in doc else doc["productions"][-1]
+    entry[field] = value
+    with pytest.raises(GrammarError, match=f"field '{field}'"):
+        Library.from_dict(doc)
+
+
 def _checkpoint_naming(name):
     """The initial library without swap, plus one abstraction named ``name``."""
     doc = Library.initial().to_dict()

@@ -27,6 +27,7 @@ from mathsynth.programs import (
     render_program,
     render_type,
     spine,
+    split_type,
 )
 
 
@@ -56,6 +57,13 @@ def test_names_resolve_to_abstraction_names_only():
 def test_render_type_names_type_variables():
     assert render_type(arrow(TSTR, TINT, TSTR)) == "tstr -> tint -> tstr"
     assert render_type(arrow(arrow(TSTR, 2), 1)) == "(tstr -> t2) -> t1"
+
+
+def test_split_type_separates_argument_types_from_the_result():
+    assert split_type(arrow(TSTR, TINT, TSTR)) == ((TSTR, TINT), TSTR)
+    assert split_type(TSTR) == ((), TSTR)
+    # a function-typed argument stays whole
+    assert split_type(arrow(arrow(TSTR, TSTR), TINT)) == ((arrow(TSTR, TSTR),), TINT)
 
 
 def test_typecheck_examples():
