@@ -50,6 +50,18 @@ shape.  The table is dropped when the run ends.  The loop reads each
 rank's log probability, index, shape and rewrite from flat lists built
 once per search.
 
+An abstraction action is a chain of rule steps.  At set-up the search
+unrolls each one (programs.unrolled_steps) into a tuple of (shape,
+rewrite, index) steps, walking each nested call once for the whole
+library.  At expansion the first step reads its subtree from the run's
+table and later steps descend to theirs (equations._descend) after a
+range check.  A step whose index is out of range, or whose shape rejects
+its subtree, ends the action as failed, with no exception; a rewrite that
+raises fails it too.  A call that would pass the evaluator's step limit
+fails on every equation, so its action is marked at set-up and fails at
+once.  A body that is no chain, such as one with an inner lambda, which
+only a hand-written checkpoint can hold, goes through apply_abstraction.
+
 Duplicate states are found by identity.  A search opens an equation intern
 table for its length (equations.open_table) and interns the task's input,
 so every state it builds is made of interned nodes: a state reached again
@@ -74,11 +86,12 @@ when no cursor was left, as when the library has no chain actions.
 first_solution is the expansion count at the first program found, or
 None.  The stats also say where the expansions went: index_skips (an
 index outside the state), shape_skips (a subtree that fails the shape),
-skipped (their sum), failed (the rewrite or abstraction raised) and
-duplicates (the child was a state already visited).  Every other
-expansion makes a new state, except the one that finds the clock run out,
-so expansions = skipped + failed + duplicates + states - 1, plus one when
-stop is "timeout".
+skipped (their sum), rewrite_failed (a primitive action's rewrite
+raised), chain_failed (an abstraction action stopped before its last
+step, step limit included), failed (their sum) and duplicates (the child
+was a state already visited).  Every other expansion makes a new state,
+except the one that finds the clock run out, so expansions = skipped +
+failed + duplicates + states - 1, plus one when stop is "timeout".
 """
 
 from __future__ import annotations
@@ -91,7 +104,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Optional
 
-from .equations import Equation, check_solved, close_table, intern, open_table, subtrees
+from .equations import Equation, _descend, check_solved, close_table, intern, open_table, subtrees
 from .grammar import CTX_TINT, CTX_TSTR, VAR, Library
 from .primitives import RULES, PrimitiveError, shape_at
 from .primitives import apply_primitive  # noqa: F401  unused here; bench/tracing.py wraps it
@@ -106,6 +119,7 @@ from .programs import (
     VarRef,
     apply_abstraction,
     render_program,
+    unrolled_steps,
 )
 
 
@@ -198,6 +212,19 @@ def solve_task_with_stats(
 
 _INF = float("inf")
 _EMPTY = (_INF, _INF)  # the head of an empty frontier part
+_FAILS = "fails on every equation"  # an abstraction action's chain
+
+
+def _unrolled(action: _Action, memo: dict):
+    """An abstraction action's (shape, rewrite, index) steps; None for a
+    body that is not a chain, and _FAILS for a call past the step limit."""
+    try:
+        steps = unrolled_steps(action.head.abstraction, action.lits, memo)
+    except EvalError:
+        return _FAILS
+    if steps is None:
+        return None
+    return tuple((shape_at(name, i), RULES[name].rewrite, i) for name, i in steps)
 
 
 def _chain_search(task, lib, budget, k, patience):
@@ -205,7 +232,7 @@ def _chain_search(task, lib, budget, k, patience):
     n_actions = len(actions)
     # the loop reads each rank from flat lists; a primitive action applies
     # its rule at the index given by its one literal, an abstraction action
-    # has no rule
+    # runs its chain of rule steps
     logps = [a.log_prob for a in actions]
     rules = [RULES[a.head.name] if type(a.head) is Prim else None for a in actions]
     indices = [a.lits[0] if r is not None else None for a, r in zip(actions, rules)]
@@ -214,6 +241,8 @@ def _chain_search(task, lib, budget, k, patience):
         for a, r, i in zip(actions, rules, indices)
     ]
     rewrites = [r.rewrite if r is not None else None for r in rules]
+    memo: dict = {}
+    chains = [_unrolled(a, memo) if r is None else None for a, r in zip(actions, rules)]
     var_logp = lib.table(CTX_TSTR)[VAR][0]
     found: list[tuple[Term, float]] = []
     cutoff = budget.max_expansions
@@ -237,7 +266,7 @@ def _chain_search(task, lib, budget, k, patience):
     logp0 = logps[0] if actions else 0.0
     if actions:
         append((-(var_logp + logp0), 0, root))
-    expansions = index_skips = shape_skips = failed = duplicates = 0
+    expansions = index_skips = shape_skips = rewrite_failed = chain_failed = duplicates = 0
     nodes_made = 0
     timed_out = False
     state = None  # the state whose run is in progress, at cursor rank
@@ -272,23 +301,46 @@ def _chain_search(task, lib, budget, k, patience):
             top_key, top_seq = min(h[:2], f[:2])
         rewrite = rewrites[rank]
         child_eq = None
-        try:
-            if rewrite is None:
-                action = actions[rank]
-                child_eq = apply_abstraction(action.head.abstraction, (eq,) + action.lits)
+        if rewrite is not None:
+            index = indices[rank]
+            if index >= n_nodes:
+                index_skips += 1
             else:
-                index = indices[rank]
-                if index >= n_nodes:
-                    index_skips += 1
-                else:
-                    y = table[index]
-                    shape = shapes[rank]
-                    if shape is None or shape(y):
+                y = table[index]
+                shape = shapes[rank]
+                if shape is None or shape(y):
+                    try:
                         child_eq = rewrite(eq, index, y)
+                    except PrimitiveError:
+                        rewrite_failed += 1
+                else:
+                    shape_skips += 1
+        else:
+            chain = chains[rank]
+            if chain is None:
+                action = actions[rank]
+                try:
+                    child_eq = apply_abstraction(action.head.abstraction, (eq,) + action.lits)
+                except (PrimitiveError, EvalError):
+                    pass
+            elif chain is not _FAILS:
+                # the first step reads the run's table, as does a step
+                # whose equation an earlier step left as it was
+                e = eq
+                try:
+                    for step_shape, step_rewrite, i in chain:
+                        if i >= e.size:
+                            break
+                        y = table[i] if e is eq else _descend(e, i)
+                        if step_shape is not None and not step_shape(y):
+                            break
+                        e = step_rewrite(e, i, y)
                     else:
-                        shape_skips += 1
-        except (PrimitiveError, EvalError):
-            failed += 1
+                        child_eq = e
+                except PrimitiveError:
+                    pass
+            if child_eq is None:
+                chain_failed += 1
         if child_eq is not None:
             if child_eq in visited:
                 duplicates += 1
@@ -335,7 +387,9 @@ def _chain_search(task, lib, budget, k, patience):
         "skipped": index_skips + shape_skips,
         "index_skips": index_skips,
         "shape_skips": shape_skips,
-        "failed": failed,
+        "failed": rewrite_failed + chain_failed,
+        "rewrite_failed": rewrite_failed,
+        "chain_failed": chain_failed,
         "duplicates": duplicates,
         "stop": stop,
         "first_solution": first_solution,

@@ -23,9 +23,10 @@ The chain search, which lists a state's subtrees once per state, calls the
 rule itself: it tests RULES[name].shape on the subtree y it holds, skips
 the action when the shape rejects y, and otherwise calls rewrite(e, i, y)
 with no other check, since its states are '='-rooted and it tries only
-indices in range.  It takes each action's shape from shape_at, once per
-search, and calls none where the answer depends on the index alone.
-Every other caller goes through apply_primitive.  A
+indices in range.  It runs each step of an abstraction action's unrolled
+chain the same way.  It takes each shape from shape_at, once per search,
+and calls none where the answer depends on the index alone.  Every other
+caller goes through apply_primitive.  A
 shape states a necessary condition only: when it rejects y the primitive
 raises, but when it accepts y the rewrite may still raise on a check the
 shape leaves out, such as dist's shared factor or simplify's zero

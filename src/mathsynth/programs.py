@@ -31,6 +31,19 @@ calls together, and fails with EvalError past that, since a body read from
 a checkpoint can nest lambdas or abstraction calls into exponential work.
 Saturated primitive calls are not counted.
 
+unrolled_steps turns a saturated call of an abstraction into the
+(primitive name, index) steps it makes, for the chain search to run
+through the rule table.  It takes a chain body: primitive applications,
+saturated calls of other chain bodies (inlined), literals, parameters and
+newConstGen indices, where a body that returns an equation takes exactly
+one and a body that returns an integer takes none.  Any other body, such
+as one with an inner lambda, which only a hand-written checkpoint can
+hold, has no steps.  A chain body applies no closure, so its call makes
+one step per abstraction call, and past _STEP_LIMIT it fails whatever the
+equation.  The unroller walks each (abstraction, arguments) pair once per
+memo and stops counting at the limit, so a nest of calls that doubles at
+each level is never walked out.
+
 Cost charges 100 per terminal (primitive, literal, variable or abstraction
 reference) and 1 per application or lambda, so ``(lambda (sub $0 5))``
 costs 303 and ``(lambda $0)`` costs 101.
@@ -584,6 +597,92 @@ def _compile(term, rec: Optional[list] = None):
         return val
 
     return recorded
+
+
+def unrolled_steps(a: Abstraction, ints: tuple, memo: Optional[dict] = None):
+    """The (primitive name, index) steps, in order, that a saturated call of
+    ``a`` makes on an equation, given its integer arguments ``ints`` in call
+    order; None for a body that is not a chain.
+
+    Applied one by one through apply_primitive, the steps give what
+    apply_abstraction gives, failures included.  Raises EvalError when the
+    call passes the step limit, which it then does whatever the equation.
+    ``memo`` maps (abstraction, arguments) to the walk's result, so a caller
+    that unrolls many calls walks each nested call once."""
+    types, result = split_type(a.type)
+    if result != TSTR or types.count(TSTR) != 1:
+        return None
+    ints = iter(ints)
+    args = tuple(() if t == TSTR else next(ints) for t in types)
+    found = _unrolled_call(a, args, {} if memo is None else memo)
+    return None if found is None else found[1]
+
+
+def _unrolled_call(a: Abstraction, args: tuple, memo: dict):
+    """(calls, value) of the call of ``a`` on ``args``, or None; the
+    equation argument, if any, is () and an equation value is the tuple of
+    steps that made it from there."""
+    key = (a, args)
+    if key not in memo:
+        try:
+            memo[key] = _unroll_body(a, args, memo)
+        except EvalError:
+            memo[key] = EvalError
+            raise
+    found = memo[key]
+    if found is EvalError:
+        raise EvalError("evaluation step limit exceeded")
+    return found
+
+
+def _unroll_body(a: Abstraction, args: tuple, memo: dict):
+    types, result = split_type(a.type)
+    # an equation-valued body takes one equation and an int-valued one
+    # none, so every equation a body makes feeds the next step, and the
+    # last is its value: the steps form one chain
+    if any(t not in (TSTR, TINT) for t in types) or types.count(TSTR) != (result == TSTR):
+        return None
+    core = a.body
+    for _ in types:
+        core = core.body
+    calls = [1]
+    value = _unroll_term(core, args[::-1], memo, calls)
+    return None if value is None else (calls[0], value)
+
+
+def _unroll_term(term, env: tuple, memo: dict, calls: list):
+    """The value of ``term``, an int or a step tuple, or None where the
+    term is not a chain; adds its abstraction calls to calls[0]."""
+    tt = type(term)
+    if tt is IntLit:
+        return term.value
+    if tt is VarRef:
+        return env[term.index]
+    if tt is not Apply:
+        return None
+    head, args = spine(term)
+    values = []
+    for arg in args:
+        v = _unroll_term(arg, env, memo, calls)
+        if v is None:
+            return None
+        values.append(v)
+    # the body type-checked, so a saturated call gets values of its types
+    if type(head) is Prim:
+        if head.name == "newConstGen":
+            return new_const_gen(*values) if len(values) == 3 else None
+        return values[0] + ((head.name, values[1]),) if len(values) == 2 else None
+    if type(head) is not AbsRef or len(values) != head.abstraction.arity:
+        return None
+    eq = next((v for v in values if type(v) is tuple), ())
+    found = _unrolled_call(head.abstraction, tuple(() if v is eq else v for v in values), memo)
+    if found is None:
+        return None
+    calls[0] += found[0]
+    if calls[0] > _STEP_LIMIT:
+        raise EvalError("evaluation step limit exceeded")
+    value = found[1]
+    return eq + value if type(value) is tuple else value
 
 
 def apply_abstraction(a: Abstraction, args: tuple):

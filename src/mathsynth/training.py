@@ -158,10 +158,12 @@ def _solve_one(args):
 
 def _wake(tasks, lib, config: RunConfig):
     jobs = [(t, lib, config.budget, config.k_programs, config.patience) for t in tasks]
-    if config.jobs == 1:
+    # a pool costs more to start than it saves on a single task
+    workers = min(config.jobs, len(jobs))
+    if workers <= 1:
         results = [_solve_one(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_one, jobs))
     for task_id, _found, stats in results:
         if stats["stop"] == "timeout":

@@ -7,17 +7,21 @@ cursor on one heap keyed ``(-(logp + a_r), seq, r)`` and applies every
 action it pops through the checked path, ``apply_primitive`` or
 ``apply_abstraction``.  Its states are ``_ChainNode`` objects, and it
 rebuilds a program by walking their parents.  It counts the actions that
-raised there, which the search splits into index skips, shape skips and
-failed ones, and the children it had already visited.
+raised there, which the search splits into index skips, shape skips,
+failed rewrites and failed chains, and the children it had already
+visited.
 """
 
 import gc
 import heapq
+from collections import Counter
 
 import pytest
 
 import mathsynth.enumerator
 import mathsynth.equations
+import mathsynth.programs
+from conftest import doubling_nest
 from mathsynth.corpus import GoalOracle
 from mathsynth.enumerator import (
     SearchBudget,
@@ -143,11 +147,13 @@ def _task(prefix):
 def _same_search(task, lib, budget, k, patience=None):
     got, got_stats = solve_task_with_stats(task, lib, budget, k=k, patience=patience)
     want, want_stats = heap_solve(task, lib, budget, k=k, patience=patience)
-    got_stats = dict(got_stats)
-    skipped = got_stats.pop("skipped")
-    assert skipped == got_stats.pop("index_skips") + got_stats.pop("shape_skips")
-    got_stats["unapplied"] = skipped + got_stats.pop("failed")
-    assert got_stats == want_stats
+    compared = dict(got_stats)
+    skipped = compared.pop("skipped")
+    assert skipped == compared.pop("index_skips") + compared.pop("shape_skips")
+    failed = compared.pop("failed")
+    assert failed == compared.pop("rewrite_failed") + compared.pop("chain_failed")
+    compared["unapplied"] = skipped + failed
+    assert compared == want_stats
     assert [(render_program(p), lp) for p, lp in got] == [
         (render_program(p), lp) for p, lp in want
     ]
@@ -210,6 +216,82 @@ def _library_of_calls():
 
 
 _CALL_TASKS = ("(= (* 3 x) 6)", "(= (+ x 3) 5)", "(= x (/ 6 2))")
+
+
+def _unrolled_library():
+    """Abstractions the search unrolls into rule steps (a call nested two
+    deep, an index computed by newConstGen, three arguments) and one it
+    cannot, with an inner lambda; fitted toward calls of each."""
+    lib = Library.initial()
+    for text in (
+        "(lambda (#(lambda (#(lambda (simplify (rrotate $0 1) 0)) (sub $0 3))) (swap $0 1)))",
+        "(lambda (lambda (simplify (rrotate (sub $1 (newConstGen $0 1 1)) 1) 0)))",
+        "(lambda (lambda (lambda (#(lambda (lambda (simplify (rrotate $1 $0) 0))) (div $2 $1) $0))))",
+        "(lambda ((lambda (swap $0 1)) $0))",
+    ):
+        lib.add_abstraction(parse_program(text))
+    calls = [
+        "(lambda (fn_0 $0))",
+        "(lambda (fn_1 $0 2))",
+        "(lambda (fn_2 $0 3 1))",
+        "(lambda (fn_0 (fn_3 $0)))",
+    ]
+    return fit_grammar(lib, [parse_program(c, lib) for c in calls] * 3)
+
+
+def test_unrolled_abstraction_actions_match_single_heap(monkeypatch):
+    """Only the body with an inner lambda goes through apply_abstraction;
+    the others run as rule steps and search as the oracle does."""
+    called = []
+    apply = mathsynth.enumerator.apply_abstraction
+
+    def recorded(a, args):
+        called.append(a.name)
+        return apply(a, args)
+
+    monkeypatch.setattr(mathsynth.enumerator, "apply_abstraction", recorded)
+    lib = _unrolled_library()
+    heads = Counter()
+    failed = 0
+    for prefix in ("(= (+ 3 x) 5)", "(= (+ (+ x 1) 4) 9)", "(= (* x 3) 6)", "(= (- (* 3 x) 2) 7)"):
+        found, stats = _same_search(_task(prefix), lib, SearchBudget(max_expansions=8_000), k=6)
+        heads.update(render_program(t, named=True) for p, _ in found for t in subterms(p))
+        failed += stats["chain_failed"]
+    assert called and set(called) == {"fn_3"}
+    assert failed and {"fn_0", "fn_1", "fn_2"} <= set(heads)
+
+
+def test_set_up_walks_each_nested_call_once(monkeypatch):
+    """The doubling nest's deepest member makes 2**19 - 1 calls, past the
+    step limit: set-up walks each (abstraction, arguments) pair once and
+    never calls apply_abstraction, and each expansion of the action fails
+    as a chain, as the oracle's apply_abstraction call fails."""
+    walks = Counter()
+    walk = mathsynth.programs._unroll_body
+
+    def counted(a, args, memo):
+        walks[a, args] += 1
+        return walk(a, args, memo)
+
+    def unexpected(a, args):
+        raise AssertionError("a chain went through apply_abstraction")
+
+    deep_calls = []
+    apply = apply_abstraction
+
+    def oracle_apply(a, args):
+        deep_calls.append(a)
+        return apply(a, args)
+
+    monkeypatch.setattr(mathsynth.programs, "_unroll_body", counted)
+    monkeypatch.setattr(mathsynth.enumerator, "apply_abstraction", unexpected)
+    monkeypatch.setitem(globals(), "apply_abstraction", oracle_apply)
+    lib = Library.initial()
+    deep = lib.add_abstraction(doubling_nest(18).body)
+    _, stats = _same_search(_task("(= (+ x 2) 9)"), lib, SearchBudget(max_expansions=12), k=1)
+    assert len(walks) == 19 and set(walks.values()) == {1}
+    assert deep_calls and set(deep_calls) == {deep}
+    assert stats["chain_failed"] == len(deep_calls)
 
 
 def _found(prefix, lib):
@@ -280,15 +362,19 @@ def test_every_expansion_is_skipped_failed_a_duplicate_or_a_new_state(library):
     visited, or makes a new state; the root is a state no expansion made,
     and the expansion that finds the clock run out does none of these."""
     lib = library()
-    totals = dict.fromkeys(("index_skips", "shape_skips", "failed", "duplicates"), 0)
+    counts = ("index_skips", "shape_skips", "rewrite_failed", "chain_failed", "duplicates")
+    totals = dict.fromkeys(counts, 0)
     for prefix, budget, k, patience, stop in _STOPS:
         searched = Library([]) if stop == "frontier" else lib
         _, stats = solve_task_with_stats(_task(prefix), searched, budget, k, patience)
         assert stats["stop"] == stop
         assert stats["skipped"] == stats["index_skips"] + stats["shape_skips"]
+        assert stats["failed"] == stats["rewrite_failed"] + stats["chain_failed"]
         accounted = stats["skipped"] + stats["failed"] + stats["duplicates"]
         accounted += stats["states"] - 1
         assert stats["expansions"] - (stop == "timeout") == accounted
         for key in totals:
             totals[key] += stats[key]
-    assert all(totals.values())
+    # the initial library has no abstraction actions to fail
+    assert all(totals[key] for key in counts if key != "chain_failed")
+    assert bool(totals["chain_failed"]) == (library is _skewed_library)

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mathsynth.programs
+from conftest import HAND_WRITTEN, doubling_nest, equations
 from mathsynth.equations import parse_prefix
-from mathsynth.primitives import PrimitiveError
+from mathsynth.primitives import PrimitiveError, apply_primitive
 from mathsynth.programs import (
     AbsRef,
     Abstraction,
@@ -28,6 +29,7 @@ from mathsynth.programs import (
     render_type,
     spine,
     split_type,
+    unrolled_steps,
 )
 
 
@@ -231,21 +233,12 @@ def test_step_limit_stops_runaway_programs():
         apply_abstraction(Abstraction(program), (e,))
 
 
-def _nested_abstraction(k):
-    """A_k with A_0 = (lambda (swap $0 1)) and A_k = (lambda (A_{k-1}
-    (A_{k-1} $0))): one call of A_k makes 2**(k+1) - 1 abstraction calls."""
-    a = Abstraction(parse_program("(lambda (swap $0 1))"))
-    for _ in range(k):
-        a = Abstraction(Lambda(Apply(AbsRef(a), Apply(AbsRef(a), VarRef(0)))))
-    return a
-
-
 def test_step_limit_stops_nested_abstraction_calls():
     e = parse_prefix("(= (+ x 2) 9)")
     # an even number of swaps leaves the equation as it was
-    assert apply_abstraction(_nested_abstraction(10), (e,)) == e
-    assert evaluate(Lambda(Apply(AbsRef(_nested_abstraction(10)), VarRef(0))), e) == (e, None)
-    deep = _nested_abstraction(18)
+    assert apply_abstraction(doubling_nest(10), (e,)) == e
+    assert evaluate(Lambda(Apply(AbsRef(doubling_nest(10)), VarRef(0))), e) == (e, None)
+    deep = doubling_nest(18)
     with pytest.raises(EvalError, match="step limit"):
         apply_abstraction(deep, (e,))
     with pytest.raises(EvalError, match="step limit"):
@@ -270,3 +263,71 @@ def test_spine_and_map_leaves_go_left_to_right():
     assert map_leaves(p, lambda t: leaves.append(t) or t) == p
     assert [render_program(t) for t in leaves] == ["sub", "swap", "$0", "1", "2"]
     assert render_program(map_leaves(p, lambda t: "?"), hole=str) == "(lambda (? (? ? ?) ?))"
+
+
+# bodies the unroller takes apart besides the hand-written ones: a call
+# nested two deep, an index computed by newConstGen, and one computed by an
+# integer-valued abstraction
+UNROLLED = [
+    "(lambda (#(lambda (#(lambda (simplify (rrotate $0 1) 0)) (sub $0 3))) (swap $0 1)))",
+    "(lambda (lambda (simplify (swap (sub $1 3) (newConstGen $0 1 1)) 0)))",
+    "(lambda (lambda (swap $1 (#(lambda (lambda (newConstGen $0 $1 1))) $0 2))))",
+]
+# bodies that are no chain: an inner lambda, and an equation used twice,
+# once by a call that drops it
+NOT_CHAINS = [
+    "(lambda ((lambda (swap $0 1)) $0))",
+    "(lambda (#(lambda (lambda (sub $1 1))) $0 (swap $0 1)))",
+]
+
+
+def _replayed(steps, eq):
+    for name, i in steps:
+        eq = apply_primitive(name, eq, i)
+    return eq
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (PrimitiveError, EvalError):
+        return "fails"
+
+
+@settings(max_examples=100, deadline=None)
+@given(eq=equations(), lits=st.lists(st.integers(0, 10), min_size=2, max_size=2))
+def test_unrolled_steps_replay_the_abstraction_call(mini_run, eq, lits):
+    """Applied through apply_primitive, the steps give what the compiled
+    call gives, failures included; only a body that is no chain has none."""
+    result, _ = mini_run
+    texts = HAND_WRITTEN + UNROLLED + NOT_CHAINS
+    learned = result.library.abstractions()
+    assert learned
+    for a in [Abstraction(parse_program(t)) for t in texts] + learned:
+        types, _ = split_type(a.type)
+        ints = tuple(lits[: len(types) - 1])
+        steps = unrolled_steps(a, ints)
+        assert (steps is None) == (render_program(a.body) in NOT_CHAINS), a
+        if steps is not None:
+            assert types[0] == TSTR
+            assert _outcome(lambda: _replayed(steps, eq)) == _outcome(
+                lambda: apply_abstraction(a, (eq,) + ints)
+            ), (a, ints)
+
+
+def test_unrolled_steps_keep_the_step_limit_exact(monkeypatch):
+    """A chain makes one step per abstraction call; the unroller fails a
+    call exactly where the compiled call fails, and only there."""
+    e = parse_prefix("(= (+ x 2) 9)")
+    assert unrolled_steps(doubling_nest(2), ()) == (("swap", 1),) * 4
+    # doubling_nest(2) makes 7 calls, doubling_nest(3) 15
+    monkeypatch.setattr(mathsynth.programs, "_STEP_LIMIT", 7)
+    assert apply_abstraction(doubling_nest(2), (e,)) == e
+    assert len(unrolled_steps(doubling_nest(2), ())) == 4
+    with pytest.raises(EvalError, match="step limit"):
+        apply_abstraction(doubling_nest(3), (e,))
+    with pytest.raises(EvalError, match="step limit"):
+        unrolled_steps(doubling_nest(3), ())
+    monkeypatch.setattr(mathsynth.programs, "_STEP_LIMIT", 6)
+    with pytest.raises(EvalError, match="step limit"):
+        unrolled_steps(doubling_nest(2), ())

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import equations
+import mathsynth.training
+from conftest import CHAIN, HAND_WRITTEN_ABSTRACTIONS, equations, seeded_setup
 from mathsynth.corpus import load_checkpoint, make_task
 from mathsynth.enumerator import SearchBudget, Task, solve_task_with_stats
 from mathsynth.equations import Node, check_solved, parse_prefix
-from mathsynth.grammar import Library, fit_grammar
+from mathsynth.grammar import Library
 from mathsynth.primitives import (
     EQUATION_PRIMITIVES,
     PrimitiveError,
@@ -46,28 +47,6 @@ from mathsynth.training import (
     run_training_loop,
 )
 
-CHAIN = "(lambda (simplify (rrotate (sub $0 3) 1) 0))"
-
-
-def seeded_setup():
-    """Three templates of one shape plus two held-out ones, and a grammar
-    already biased toward the isolate-and-collapse chain so search stays
-    cheap; the loop's own learning is what is under test."""
-    rng = random.Random(42)
-    train = [make_task("x_plus_b", i, rng) for i in range(3)]
-    test = [make_task("x_plus_b", i, rng) for i in (3, 4)]
-    lib = fit_grammar(Library.initial(), [parse_program(CHAIN)] * 6)
-    config = RunConfig(
-        seed=5,
-        iterations=2,
-        eval_every=3,
-        budget=SearchBudget(max_expansions=60_000, wall_timeout=120.0),
-        patience=5_000,
-        k_programs=3,
-        probes=1,
-    )
-    return train, test, lib, config
-
 
 def abstraction_names(term):
     if type(term) is AbsRef:
@@ -77,14 +56,6 @@ def abstraction_names(term):
     if type(term) is Apply:
         return abstraction_names(term.fn) | abstraction_names(term.arg)
     return set()
-
-
-@pytest.fixture(scope="module")
-def mini_run(tmp_path_factory):
-    train, test, lib, config = seeded_setup()
-    out = tmp_path_factory.mktemp("run")
-    config = RunConfig(**{**config.__dict__, "out_dir": str(out)})
-    return run_training_loop(train, test, lib, config), out
 
 
 def test_run_config_rejects_bad_values():
@@ -247,15 +218,38 @@ def test_two_workers_write_the_same_bytes_as_one(mini_run, tmp_path):
         assert (one_worker / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
-HAND_WRITTEN = [
-    CHAIN,
-    "(lambda (lambda (simplify (swap $1 $0) 0)))",
-    "(lambda (lambda (lambda (simplify (rrotate (div $2 $1) 1) $0))))",
-    f"(lambda (#{CHAIN} (swap $0 1)))",
-    "(lambda (lambda (#(lambda (lambda (simplify (swap $1 $0) 0))) (sub $1 $0) 2)))",
-    "(lambda ((lambda (swap $0 1)) $0))",
-]
-HAND_WRITTEN_ABSTRACTIONS = [Abstraction(parse_program(text)) for text in HAND_WRITTEN]
+def test_a_wake_of_fewer_than_two_tasks_starts_no_pool(monkeypatch):
+    """Zero or one task is searched in process; more get a pool no larger
+    than the task count."""
+    pools = []
+
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError("a pool was started")
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    train, _, lib, config = seeded_setup()
+    config = RunConfig(**{**config.__dict__, "jobs": 4, "budget": SearchBudget(max_expansions=500)})
+    monkeypatch.setattr(mathsynth.training, "ProcessPoolExecutor", NoPool)
+    assert _wake([], lib, config) == {}
+    assert list(_wake(train[:1], lib, config)) == [train[0].id]
+    assert evaluate_tasks([], lib, config) == {}
+    monkeypatch.setattr(mathsynth.training, "ProcessPoolExecutor", InProcessPool)
+    assert list(_wake(train[:2], lib, config)) == [t.id for t in train[:2]]
+    assert list(_wake(train, lib, config)) == [t.id for t in train]
+    assert pools == [2, 3]
 
 
 def _reference_eval(term, env):
