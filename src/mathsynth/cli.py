@@ -38,7 +38,7 @@ from .metric import (
     solution_cost_f,
 )
 from .primitives import PrimitiveError
-from .programs import ProgramError, render_program
+from .programs import EvalError, ProgramError, render_program
 from .training import RunConfig, TrainingError, run_training_loop
 
 log = logging.getLogger("mathsynth")
@@ -47,6 +47,7 @@ _ERRORS = (
     CompressionError,
     CorpusError,
     EquationError,
+    EvalError,
     GrammarError,
     MetricError,
     PrimitiveError,

@@ -57,10 +57,10 @@ library.  At expansion the first step reads its subtree from the run's
 table and later steps descend to theirs (equations._descend) after a
 range check.  A step whose index is out of range, or whose shape rejects
 its subtree, ends the action as failed, with no exception; a rewrite that
-raises fails it too.  A call that would pass the evaluator's step limit
-fails on every equation, so its action is marked at set-up and fails at
-once.  A body that is no chain, such as one with an inner lambda, which
-only a hand-written checkpoint can hold, goes through apply_abstraction.
+raises fails it too.  A call that would pass the step limit, which
+evaluate applies to each top-level call alike, fails on every equation, so
+its action is marked at set-up and fails at once.  Every abstraction body
+is a chain (see programs), so every abstraction action runs this way.
 
 Duplicate states are found by identity.  A search opens an equation intern
 table for its length (equations.open_table) and interns the task's input,
@@ -107,7 +107,6 @@ from typing import Optional
 from .equations import Equation, _descend, check_solved, close_table, intern, open_table, subtrees
 from .grammar import CTX_TINT, CTX_TSTR, VAR, Library
 from .primitives import RULES, PrimitiveError, shape_at
-from .primitives import apply_primitive  # noqa: F401  unused here; bench/tracing.py wraps it
 from .programs import (
     Apply,
     EvalError,
@@ -117,10 +116,13 @@ from .programs import (
     Prim,
     Term,
     VarRef,
-    apply_abstraction,
     render_program,
     unrolled_steps,
 )
+
+# unused here; bench/tracing.py wraps both by attribute
+from .primitives import apply_primitive  # noqa: F401
+from .programs import apply_abstraction  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ class SearchBudget:
 @dataclass(frozen=True, slots=True)
 class _Action:
     log_prob: float
-    prefix: str  # child render = prefix + parent render + suffix
+    prefix: str
     suffix: str
     head: Term  # Prim or AbsRef
     lits: tuple
@@ -154,7 +156,8 @@ class _Action:
 
 def _chain_actions(lib: Library) -> list[_Action]:
     """Every (equation production, literal argument tuple) pair, ordered
-    best-probability first with the render text as tiebreak."""
+    best-probability first with the render text as tiebreak; an
+    abstraction's inline text is rendered once and kept on it."""
     lit_logp = {v: lib.table(CTX_TINT)[IntLit(v)][0] for v in LITERAL_RANGE}
     actions = []
     for head, (log_prob, arg_ctxs) in lib.table(CTX_TSTR).items():
@@ -216,14 +219,12 @@ _FAILS = "fails on every equation"  # an abstraction action's chain
 
 
 def _unrolled(action: _Action, memo: dict):
-    """An abstraction action's (shape, rewrite, index) steps; None for a
-    body that is not a chain, and _FAILS for a call past the step limit."""
+    """An abstraction action's (shape, rewrite, index) steps, or _FAILS for
+    a call past the step limit."""
     try:
         steps = unrolled_steps(action.head.abstraction, action.lits, memo)
     except EvalError:
         return _FAILS
-    if steps is None:
-        return None
     return tuple((shape_at(name, i), RULES[name].rewrite, i) for name, i in steps)
 
 
@@ -317,13 +318,7 @@ def _chain_search(task, lib, budget, k, patience):
                     shape_skips += 1
         else:
             chain = chains[rank]
-            if chain is None:
-                action = actions[rank]
-                try:
-                    child_eq = apply_abstraction(action.head.abstraction, (eq,) + action.lits)
-                except (PrimitiveError, EvalError):
-                    pass
-            elif chain is not _FAILS:
+            if chain is not _FAILS:
                 # the first step reads the run's table, as does a step
                 # whose equation an earlier step left as it was
                 e = eq

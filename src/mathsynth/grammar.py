@@ -238,12 +238,6 @@ class Library:
                 bodies[a] = name
                 _check_name(a, [*lib.abstractions(), a])
                 prod = Production(AbsRef(a), a.type, pd["log_weight"])
-                if len(split_type(a.type)[0]) != a.arity:
-                    # the search and apply_abstraction pass exactly arity arguments
-                    raise GrammarError(
-                        f"abstraction {name!r} in checkpoint returns a function;"
-                        " its lambdas must bind every argument its type takes"
-                    )
             if render_type(prod.type) != pd["type"]:
                 raise GrammarError(
                     f"type mismatch for {name}: checkpoint says {pd['type']}, "

@@ -11,38 +11,34 @@ Types are simple: ``tstr`` (an equation), ``tint`` (an integer) and arrows.
 Every equation-valued primitive has type ``tstr -> tint -> tstr`` with the
 equation first.
 
-Evaluation is call-by-value and compiled: _compile turns a term into a
-Python closure over a de Bruijn environment tuple.  A function value is a
-one-argument callable; a primitive or abstraction value is curried, a lambda
-value closes over its environment.  An application of an equation primitive
-or an abstraction to all its arguments becomes a direct call.  An
-abstraction's body is compiled on first use, without a recorder, and cached
-on the Abstraction; the cache is never pickled, so an Abstraction travels as
-its body, name and origin iteration and is compiled again where it lands.
+A program is a chain: a variable, a literal, or a call of a primitive or an
+abstraction on exactly as many arguments as its type takes, each a chain of
+the type its position takes.  An argument in equation position is tstr; an
+index argument is tint: a literal, a parameter, newConstGen or a call of an
+integer-valued chain.  infer_type reads a chain's type off these positions.
+An abstraction body is leading lambdas over a chain that uses every
+parameter, an equation parameter once.  Every equation-taking head takes one
+equation and every integer-valued one takes none, so a body that returns an
+equation takes exactly one and each equation it makes feeds the next step,
+and a body that returns an integer takes none.  The Abstraction constructor
+raises ProgramError for any other body: an inner lambda, a partial
+application, a function-valued argument, an unused parameter or an equation
+used twice.  A top-level program is ``(lambda $0)``, a lambda over a chain on
+``$0``, or a bare tstr -> tstr abstraction reference, the eta-reduced form
+training stores.
 
-With tracing on, evaluate compiles the program with a recorder: every
-application appends the equation it yields, inside the program's own
-lambdas too, while an abstraction call is a single step whose inner states
-are not recorded.
-
-A top-level call (evaluate or apply_abstraction) may make at most
-_STEP_LIMIT steps, lambda-closure applications and saturated abstraction
-calls together, and fails with EvalError past that, since a body read from
-a checkpoint can nest lambdas or abstraction calls into exponential work.
-Saturated primitive calls are not counted.
-
-unrolled_steps turns a saturated call of an abstraction into the
-(primitive name, index) steps it makes, for the chain search to run
-through the rule table.  It takes a chain body: primitive applications,
-saturated calls of other chain bodies (inlined), literals, parameters and
-newConstGen indices, where a body that returns an equation takes exactly
-one and a body that returns an integer takes none.  Any other body, such
-as one with an inner lambda, which only a hand-written checkpoint can
-hold, has no steps.  A chain body applies no closure, so its call makes
-one step per abstraction call, and past _STEP_LIMIT it fails whatever the
-equation.  The unroller walks each (abstraction, arguments) pair once per
+There is one runner.  unrolled_steps turns a call of an abstraction into the
+(primitive name, index) steps it makes.  evaluate splits a program into its
+top-level calls, each a tuple of such steps, and runs every step through
+apply_primitive; apply_abstraction runs a single call the same way, and the
+chain search runs the same steps through the rule table.  A top-level call
+may make at most _STEP_LIMIT abstraction calls, nested ones included, and
+past that it fails with EvalError whatever the equation, since a body read
+from a checkpoint can nest calls into exponential work; primitive steps are
+not counted.  The unroller walks each (abstraction, arguments) pair once per
 memo and stops counting at the limit, so a nest of calls that doubles at
-each level is never walked out.
+each level is never walked out.  A trace records one state per top-level
+call: the inner states of an abstraction call are not recorded.
 
 Cost charges 100 per terminal (primitive, literal, variable or abstraction
 reference) and 1 per application or lambda, so ``(lambda (sub $0 5))``
@@ -54,8 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .equations import MAX_NESTING, Equation, Node, _too_deep, is_equation, render_prefix
-from .primitives import EQUATION_PRIMITIVES, PrimitiveError, new_const_gen
+from .equations import MAX_NESTING, Equation, _too_deep, is_equation, render_prefix
+from .primitives import EQUATION_PRIMITIVES, PrimitiveError, apply_primitive, new_const_gen
 
 TSTR = "tstr"
 TINT = "tint"
@@ -67,16 +63,6 @@ class ProgramError(Exception):
 
 class EvalError(Exception):
     """Runtime failure while executing a program."""
-
-
-class _PrimitiveFailed(EvalError):
-    """A primitive's PrimitiveError, raised as (name, i, e, err).  The
-    message renders the whole equation, so it is built only when read; the
-    chain search discards nearly every one."""
-
-    def __str__(self):
-        name, i, e, err = self.args
-        return f"{name} at index {i} failed on {render_prefix(e)}: {err}"
 
 
 def arrow(*types):
@@ -153,22 +139,25 @@ class IntLit:
 
 
 class Abstraction:
-    """A named, reusable program fragment; equality is by body alone."""
+    """A named, reusable program fragment; equality is by body alone.
 
-    __slots__ = ("name", "body", "origin_iteration", "_hash", "_type", "_compiled")
+    The type is read off the body when it is made, and the inline text
+    when it is first rendered; pickling drops both, so an Abstraction
+    travels as its body, name and origin iteration."""
+
+    __slots__ = ("name", "body", "origin_iteration", "type", "_hash", "_text")
 
     def __init__(self, body: "Term", name: Optional[str] = None, origin_iteration: int = 0):
         if type(body) is not Lambda:
             raise ProgramError("an abstraction body must start with a lambda")
+        self.type = infer_type(body)
         self.body = body
         self.name = name
         self.origin_iteration = origin_iteration
         self._hash = hash(("abstraction", body))
-        self._type = None
-        self._compiled = None
+        self._text = None
 
     def __reduce__(self):
-        # the caches, the compiled closure above all, are rebuilt on demand
         return (Abstraction, (self.body, self.name, self.origin_iteration))
 
     @property
@@ -179,25 +168,12 @@ class Abstraction:
         return n
 
     @property
-    def type(self):
-        if self._type is None:
-            self._type = infer_type(self.body)
-        return self._type
-
-    def run(self, args: tuple):
-        """Apply to exactly ``arity`` evaluated arguments, in call order."""
-        global _steps
-        _steps += 1
-        if _steps > _STEP_LIMIT:
-            raise EvalError("evaluation step limit exceeded")
-        fn = self._compiled
-        if fn is None:
-            core = self.body
-            for _ in range(self.arity):
-                core = core.body
-            fn = self._compiled = _compile(core)
-        # de Bruijn: $0 is the innermost binder, i.e. the last argument
-        return fn(args[::-1])
+    def inline(self) -> str:
+        """``#(lambda ...)``, nested abstractions inline too: a nested
+        render joins the texts of the abstractions it calls."""
+        if self._text is None:
+            self._text = f"#{render_program(self.body)}"
+        return self._text
 
     def __eq__(self, other):
         return self is other or (
@@ -243,7 +219,7 @@ def render_program(p: Term, named: bool = False, hole=None) -> str:
         a = p.abstraction
         if named and a.name:
             return a.name
-        return f"#{render_program(a.body, named)}"
+        return f"#{render_program(a.body, named)}" if named else a.inline
     if hole is not None:
         return hole(p)
     raise ProgramError(f"cannot render {p!r}")
@@ -413,215 +389,96 @@ def map_leaves(term: Term, f) -> Term:
     return f(term)
 
 
-# --- type inference ----------------------------------------------------------
-
-
-def _resolve(t, subst):
-    while type(t) is int and t in subst:
-        t = subst[t]
-    if is_arrow(t):
-        return ("->", _resolve(t[1], subst), _resolve(t[2], subst))
-    return t
-
-
-def _unify(a, b, subst):
-    a = _resolve(a, subst)
-    b = _resolve(b, subst)
-    if a == b:
-        return
-    if type(a) is int:
-        subst[a] = b
-        return
-    if type(b) is int:
-        subst[b] = a
-        return
-    if is_arrow(a) and is_arrow(b):
-        _unify(a[1], b[1], subst)
-        _unify(a[2], b[2], subst)
-        return
-    raise ProgramError(f"type mismatch: {render_type(a)} vs {render_type(b)}")
-
-
-def _default_free(t):
-    if type(t) is int:
-        return TSTR
-    if is_arrow(t):
-        return ("->", _default_free(t[1]), _default_free(t[2]))
-    return t
+# --- types ----------------------------------------------------------------------
 
 
 def infer_type(p: Term, env: tuple = ()):
-    """Principal simple type with unconstrained positions defaulting to tstr.
+    """The type of ``p``, read off argument positions.
 
-    Fresh type variables are integers during inference; callers only ever
-    see concrete types built from tstr, tint and arrows.
-    """
-    subst: dict = {}
-    counter = [0]
+    A bare Prim or AbsRef has its own type; anything else must be leading
+    lambdas over a chain that uses every parameter, and ProgramError says
+    why it is not.  ``env`` holds the types of the variables free in ``p``,
+    innermost first."""
+    tt = type(p)
+    if tt is Prim:
+        return PRIM_TYPES[p.name]
+    if tt is AbsRef:
+        return p.abstraction.type
+    n, core = 0, p
+    while type(core) is Lambda:
+        n, core = n + 1, core.body
+    used = [None] * (n + len(env))
+    result = _chain_type(core, None, used)
+    for k, t in enumerate(env, n):
+        if used[k] not in (None, t):
+            raise ProgramError(f"${k} is used as {used[k]}, not {t}")
+    params = used[n - 1::-1] if n else []  # call order: $0 is the last parameter
+    if None in params:
+        raise ProgramError(f"${n - 1 - params.index(None)} is never used")
+    return arrow(*params, result) if n else result
 
-    def fresh():
-        counter[0] += 1
-        return counter[0]
 
-    def infer(term, env):
-        tt = type(term)
-        if tt is IntLit:
-            return TINT
-        if tt is Prim:
-            return PRIM_TYPES[term.name]
-        if tt is AbsRef:
-            return term.abstraction.type
-        if tt is VarRef:
-            if term.index >= len(env):
-                raise ProgramError(f"unbound variable ${term.index}")
-            return env[term.index]
-        if tt is Lambda:
-            tv = fresh()
-            tbody = infer(term.body, (tv,) + env)
-            return ("->", _resolve(tv, subst), tbody)
-        if tt is Apply:
-            tf = infer(term.fn, env)
-            ta = infer(term.arg, env)
-            tr = fresh()
-            _unify(tf, ("->", ta, tr), subst)
-            return _resolve(tr, subst)
-        raise ProgramError(f"cannot type {term!r}")
-
-    return _default_free(_resolve(infer(p, env), subst))
+def _chain_type(term: Term, want, used: list):
+    """The type of the chain ``term``, tstr or tint, which must be ``want``
+    unless that is None.  used[k] is the type $k is used at so far, or
+    None; an equation variable may be used once."""
+    tt = type(term)
+    if tt is VarRef:
+        k, t = term.index, want or TSTR
+        if k >= len(used):
+            raise ProgramError(f"unbound variable ${k}")
+        if used[k] == TSTR or used[k] not in (None, t):
+            raise ProgramError(f"${k} is used as {used[k]} and again as {t}")
+        used[k] = t
+        return t
+    if tt is IntLit:
+        if want == TSTR:
+            raise ProgramError(f"the integer {term.value} stands where an equation goes")
+        return TINT
+    head, args = spine(term)
+    th = type(head)
+    if th is Lambda:
+        raise ProgramError("an inner lambda is no chain step")
+    if th is not Prim and th is not AbsRef:
+        raise ProgramError(f"{render_program(term)} calls no primitive or abstraction")
+    types, result = split_type(infer_type(head))
+    if len(args) != len(types):
+        raise ProgramError(
+            f"{render_program(head, named=True)} takes {len(types)} arguments, not {len(args)}"
+        )
+    if want is not None and result != want:
+        raise ProgramError(
+            f"{render_program(head, named=True)} returns {result} where {want} goes"
+        )
+    for arg, t in zip(args, types):
+        _chain_type(arg, t, used)
+    return result
 
 
 # --- evaluation ---------------------------------------------------------------
 
 
 _STEP_LIMIT = 100_000
-# Steps (closure applications and abstraction calls) since the last top-level
-# call.  Every top-level call resets it first, so no count carries over from
-# one call to the next; being module-level, it needs no state threaded
-# through the compiled closures.
-_steps = 0
 
 
-def _run_equation_prim(name: str, e, i):
-    if type(e) is not Node or e.op != "=":
-        raise EvalError(f"{name} expects an equation as its first argument")
-    try:
-        return EQUATION_PRIMITIVES[name](e, i)
-    except PrimitiveError as err:
-        raise _PrimitiveFailed(name, i, e, err) from err
+def unrolled_steps(a: Abstraction, ints: tuple, memo: Optional[dict] = None) -> tuple:
+    """The (primitive name, index) steps, in order, that a call of the
+    equation-valued ``a`` makes on an equation, given its integer arguments
+    ``ints`` in call order.
 
-
-def _curried(run, arity: int, got: tuple = ()):
-    """One-argument function value that calls ``run`` with ``arity``
-    arguments, in call order, once it has them all."""
-
-    def fn(arg):
-        args = got + (arg,)
-        if len(args) == arity:
-            return run(args)
-        return _curried(run, arity, args)
-
-    return fn
-
-
-def _prim_value(name: str):
-    if name == "newConstGen":
-        return _curried(lambda args: new_const_gen(*args), 3)
-    return _curried(lambda args: _run_equation_prim(name, *args), 2)
-
-
-def _closure(body, env):
-    def fn(arg):
-        global _steps
-        _steps += 1
-        if _steps > _STEP_LIMIT:
-            raise EvalError("evaluation step limit exceeded")
-        return body((arg,) + env)
-
-    return fn
-
-
-def _apply(fn, arg):
-    if not callable(fn):
-        raise EvalError(f"cannot apply a non-function value to {arg!r}")
-    return fn(arg)
-
-
-def _compile(term, rec: Optional[list] = None):
-    """Closure computing ``term``'s value from a de Bruijn environment tuple.
-
-    With a recorder list ``rec``, every application appends the equation it
-    yields.  Function values are one-argument callables; abstraction bodies
-    are compiled on their own, without a recorder."""
-    tt = type(term)
-    if tt is IntLit:
-        value = term.value
-        return lambda env: value
-    if tt is VarRef:
-        index = term.index
-        return lambda env: env[index]
-    if tt is Prim:
-        prim = _prim_value(term.name)
-        return lambda env: prim
-    if tt is AbsRef:
-        a = term.abstraction
-        ref = _curried(a.run, a.arity)
-        return lambda env: ref
-    if tt is Lambda:
-        body = _compile(term.body, rec)
-        return lambda env: _closure(body, env)
-    head, args = spine(term)
-    arg_fns = [_compile(arg, rec) for arg in args]
-    if type(head) is Prim and head.name in EQUATION_PRIMITIVES and len(args) == 2:
-        name = head.name
-        eq_fn, index_fn = arg_fns
-        run = lambda env: _run_equation_prim(name, eq_fn(env), index_fn(env))
-    elif type(head) is AbsRef and len(args) == head.abstraction.arity:
-        call = head.abstraction.run
-        run = lambda env: call(tuple([f(env) for f in arg_fns]))
-    else:
-        head_fn = _compile(head, rec)
-
-        def run(env):
-            val = head_fn(env)
-            for arg in [f(env) for f in arg_fns]:
-                val = _apply(val, arg)
-            return val
-
-    if rec is None:
-        return run
-
-    def recorded(env):
-        val = run(env)
-        if is_equation(val):
-            rec.append(val)
-        return val
-
-    return recorded
-
-
-def unrolled_steps(a: Abstraction, ints: tuple, memo: Optional[dict] = None):
-    """The (primitive name, index) steps, in order, that a saturated call of
-    ``a`` makes on an equation, given its integer arguments ``ints`` in call
-    order; None for a body that is not a chain.
-
-    Applied one by one through apply_primitive, the steps give what
-    apply_abstraction gives, failures included.  Raises EvalError when the
-    call passes the step limit, which it then does whatever the equation.
-    ``memo`` maps (abstraction, arguments) to the walk's result, so a caller
-    that unrolls many calls walks each nested call once."""
-    types, result = split_type(a.type)
-    if result != TSTR or types.count(TSTR) != 1:
-        return None
+    Raises EvalError when the call passes the step limit, which it then
+    does whatever the equation.  ``memo`` maps (abstraction, arguments) to
+    the walk's result, so a caller that unrolls many calls walks each
+    nested call once."""
     ints = iter(ints)
-    args = tuple(() if t == TSTR else next(ints) for t in types)
-    found = _unrolled_call(a, args, {} if memo is None else memo)
-    return None if found is None else found[1]
+    args = tuple(() if t == TSTR else next(ints) for t in split_type(a.type)[0])
+    return _unrolled_call(a, args, {} if memo is None else memo)[1]
 
 
 def _unrolled_call(a: Abstraction, args: tuple, memo: dict):
-    """(calls, value) of the call of ``a`` on ``args``, or None; the
-    equation argument, if any, is () and an equation value is the tuple of
-    steps that made it from there."""
+    """(calls, value) of the call of ``a`` on ``args``; the equation
+    argument, if any, is () and an equation value is the tuple of steps
+    that made it from there."""
     key = (a, args)
     if key not in memo:
         try:
@@ -636,48 +493,35 @@ def _unrolled_call(a: Abstraction, args: tuple, memo: dict):
 
 
 def _unroll_body(a: Abstraction, args: tuple, memo: dict):
-    types, result = split_type(a.type)
-    # an equation-valued body takes one equation and an int-valued one
-    # none, so every equation a body makes feeds the next step, and the
-    # last is its value: the steps form one chain
-    if any(t not in (TSTR, TINT) for t in types) or types.count(TSTR) != (result == TSTR):
-        return None
     core = a.body
-    for _ in types:
+    for _ in args:
         core = core.body
     calls = [1]
     value = _unroll_term(core, args[::-1], memo, calls)
-    return None if value is None else (calls[0], value)
+    return calls[0], value
 
 
 def _unroll_term(term, env: tuple, memo: dict, calls: list):
-    """The value of ``term``, an int or a step tuple, or None where the
-    term is not a chain; adds its abstraction calls to calls[0]."""
+    """The value of the chain ``term``, an int or a step tuple; adds its
+    abstraction calls to calls[0]."""
     tt = type(term)
     if tt is IntLit:
         return term.value
     if tt is VarRef:
         return env[term.index]
-    if tt is not Apply:
-        return None
     head, args = spine(term)
-    values = []
-    for arg in args:
-        v = _unroll_term(arg, env, memo, calls)
-        if v is None:
-            return None
-        values.append(v)
-    # the body type-checked, so a saturated call gets values of its types
+    return _unroll_call(head, [_unroll_term(arg, env, memo, calls) for arg in args], memo, calls)
+
+
+def _unroll_call(head, values: list, memo: dict, calls: list):
+    """The value of ``head`` called on ``values``, in call order; adds its
+    abstraction calls to calls[0]."""
     if type(head) is Prim:
         if head.name == "newConstGen":
-            return new_const_gen(*values) if len(values) == 3 else None
-        return values[0] + ((head.name, values[1]),) if len(values) == 2 else None
-    if type(head) is not AbsRef or len(values) != head.abstraction.arity:
-        return None
+            return new_const_gen(*values)
+        return values[0] + ((head.name, values[1]),)
     eq = next((v for v in values if type(v) is tuple), ())
     found = _unrolled_call(head.abstraction, tuple(() if v is eq else v for v in values), memo)
-    if found is None:
-        return None
     calls[0] += found[0]
     if calls[0] > _STEP_LIMIT:
         raise EvalError("evaluation step limit exceeded")
@@ -685,12 +529,51 @@ def _unroll_term(term, env: tuple, memo: dict, calls: list):
     return eq + value if type(value) is tuple else value
 
 
+def _top_level_calls(p: Term, memo: dict) -> list:
+    """The steps of each top-level call of the tstr -> tstr chain program
+    ``p``, first call first; each call has a step limit of its own."""
+    if type(p) is AbsRef:
+        return [unrolled_steps(p.abstraction, (), memo)]
+    calls = []
+    term = p.body
+    while type(term) is Apply:
+        head, args = spine(term)
+        types = split_type(infer_type(head))[0]
+        count = [0]
+        values = [
+            () if t == TSTR else _unroll_term(arg, (), memo, count)
+            for arg, t in zip(args, types)
+        ]
+        calls.append(_unroll_call(head, values, memo, count))
+        term = args[types.index(TSTR)]
+    return calls[::-1]
+
+
+def _run(calls, e: Equation, states: Optional[list] = None) -> Equation:
+    """``e`` after every step of ``calls``, a tuple of steps per call,
+    applied in order through apply_primitive; the state after each call
+    goes on ``states`` unless it is the very state before it."""
+    for steps in calls:
+        for name, i in steps:
+            try:
+                e = apply_primitive(name, e, i)
+            except PrimitiveError as err:
+                raise EvalError(f"{name} at index {i} failed on {render_prefix(e)}: {err}") from err
+        if states is not None and e is not states[-1]:
+            states.append(e)
+    return e
+
+
 def apply_abstraction(a: Abstraction, args: tuple):
     """Run an abstraction on exactly ``a.arity`` evaluated argument values,
-    in call order."""
-    global _steps
-    _steps = 0
-    return a.run(args)
+    in call order, as one top-level call."""
+    types = split_type(a.type)[0]
+    if len(args) != len(types):
+        raise EvalError(f"{a!r} takes {len(types)} arguments, not {len(args)}")
+    value = _unrolled_call(a, tuple(() if t == TSTR else v for v, t in zip(args, types)), {})[1]
+    if type(value) is not tuple:
+        return value  # an integer-valued abstraction
+    return _run((value,), args[types.index(TSTR)])
 
 
 def evaluate(p: Term, input_equation: Equation, trace: bool = False):
@@ -698,23 +581,15 @@ def evaluate(p: Term, input_equation: Equation, trace: bool = False):
 
     Returns (result, states) where states is None without tracing and
     otherwise the list of equation states starting with the input and ending
-    with the output.
+    with the output.  EvalError for a program that is no chain.
     """
-    global _steps
-    t = infer_type(p)
+    try:
+        t = infer_type(p)
+    except ProgramError as err:
+        raise EvalError(f"not a chain program: {err}") from err
     if t != arrow(TSTR, TSTR):
         raise EvalError(f"program has type {render_type(t)}, expected tstr -> tstr")
-    rec = [] if trace else None
-    _steps = 0
-    result = _apply(_compile(p, rec)(()), input_equation)
-    if not is_equation(result):
-        raise EvalError("program did not produce an equation")
-    if not trace:
-        return result, None
-    if not rec or rec[-1] is not result:
-        rec.append(result)
-    states = [input_equation]
-    for s in rec:
-        if s is not states[-1]:
-            states.append(s)
-    return result, states
+    if not is_equation(input_equation):
+        raise EvalError("a program runs on an equation")
+    states = [input_equation] if trace else None
+    return _run(_top_level_calls(p, {}), input_equation, states), states

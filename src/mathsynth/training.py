@@ -19,6 +19,7 @@ import os
 import random
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -163,8 +164,11 @@ def _wake(tasks, lib, config: RunConfig):
     if workers <= 1:
         results = [_solve_one(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_one, jobs))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_solve_one, jobs))
+        except BrokenProcessPool as err:
+            raise TrainingError(f"a wake worker died: {err}") from err
     for task_id, _found, stats in results:
         if stats["stop"] == "timeout":
             log.warning(

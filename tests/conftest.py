@@ -65,9 +65,22 @@ HAND_WRITTEN = [
     "(lambda (lambda (lambda (simplify (rrotate (div $2 $1) 1) $0))))",
     f"(lambda (#{CHAIN} (swap $0 1)))",
     "(lambda (lambda (#(lambda (lambda (simplify (swap $1 $0) 0))) (sub $1 $0) 2)))",
-    "(lambda ((lambda (swap $0 1)) $0))",
 ]
 HAND_WRITTEN_ABSTRACTIONS = [Abstraction(parse_program(text)) for text in HAND_WRITTEN]
+
+# terms that parse but are no chain, which an abstraction body, a checkpoint
+# and evaluate must refuse
+NOT_CHAINS = {
+    "inner-lambda": "(lambda ((lambda (swap $0 1)) $0))",
+    "inner-lambda-argument": "(lambda ((lambda (sub (swap $0 1) 2)) (swap $0 1)))",
+    "lambda-taking-a-function": "(lambda ((lambda ($0 (newConstGen 0 5 1))) (swap $0)))",
+    "partial-application": "(lambda (sub (swap $0) 1))",
+    "function-argument": "(lambda (swap $0 newConstGen))",
+    "higher-order": "(lambda (lambda ($1 ($1 $0))))",
+    "unused-parameter": "(lambda (lambda (sub $1 1)))",
+    "equation-reused": "(lambda (sub $0 $0))",
+    "integer-for-equation": "(lambda (sub 1 $0))",
+}
 
 
 def doubling_nest(k):

@@ -3,10 +3,14 @@
 exhaustive_oracle scores every candidate pattern of a small corpus by brute
 force; best_pattern's branch-and-bound must find the same optimum.
 verify_goal checks a task's label by substitution, independently of the
-symbolic solver that produced it.
+symbolic solver that produced it.  interpreted runs an abstraction call by
+a call-by-value walk over the terms themselves, abstraction bodies
+included, sharing no code with the package's runner but the primitives.
 """
 
 import itertools
+
+import mathsynth.programs
 
 from mathsynth.compression import (
     CompressionError,
@@ -20,10 +24,13 @@ from mathsynth.compression import (
     utility,
 )
 from mathsynth.enumerator import Task
-from mathsynth.equations import eval_at
+from mathsynth.equations import Node, eval_at
+from mathsynth.primitives import EQUATION_PRIMITIVES, PrimitiveError, new_const_gen
 from mathsynth.programs import (
     AbsRef,
     Apply,
+    EvalError,
+    IntLit,
     Lambda,
     Prim,
     Term,
@@ -113,3 +120,56 @@ def _number_holes(term: Term) -> Term:
 def verify_goal(task: Task) -> bool:
     """Substituting the goal must satisfy the equation exactly."""
     return eval_at(task.input.left, task.goal) == eval_at(task.input.right, task.goal)
+
+
+def interpreted(a, args: tuple):
+    """The abstraction ``a`` applied to ``args``, in call order, as one
+    top-level call: it may make programs._STEP_LIMIT abstraction calls, its
+    own and the nested ones, and raises EvalError past that."""
+    calls = [1]
+    value = reference_eval(a.body, (), calls)
+    for arg in args:
+        value = reference_apply(value, arg, calls)
+    return value
+
+
+def reference_eval(term, env: tuple, calls: list):
+    """A call-by-value walk over the term itself; nothing in it is
+    compiled or unrolled.  A function value is a tuple: ("closure", body,
+    env) or ("prim", name, arity, arguments so far).  calls[0] counts the
+    abstraction calls made so far."""
+    tt = type(term)
+    if tt is IntLit:
+        return term.value
+    if tt is VarRef:
+        return env[term.index]
+    if tt is Prim:
+        return ("prim", term.name, 3 if term.name == "newConstGen" else 2, ())
+    if tt is AbsRef:
+        calls[0] += 1
+        if calls[0] > mathsynth.programs._STEP_LIMIT:
+            raise EvalError("step limit")
+        return reference_eval(term.abstraction.body, (), calls)
+    if tt is Lambda:
+        return ("closure", term.body, env)
+    fn = reference_eval(term.fn, env, calls)
+    return reference_apply(fn, reference_eval(term.arg, env, calls), calls)
+
+
+def reference_apply(fn, arg, calls: list):
+    if type(fn) is not tuple:
+        raise EvalError("not a function")
+    if fn[0] == "closure":
+        return reference_eval(fn[1], (arg,) + fn[2], calls)
+    _, name, arity, got = fn
+    got += (arg,)
+    if len(got) < arity:
+        return ("prim", name, arity, got)
+    if name == "newConstGen":
+        return new_const_gen(*got)
+    if type(got[0]) is not Node or got[0].op != "=":
+        raise EvalError("not an equation")
+    try:
+        return EQUATION_PRIMITIVES[name](*got)
+    except PrimitiveError:
+        raise EvalError(name) from None

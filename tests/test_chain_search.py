@@ -4,8 +4,9 @@ plain heap loop.
 ``heap_solve`` is the search loop without runs, skips, interning or a
 separate queue of new states, kept here as the oracle: it pushes every
 cursor on one heap keyed ``(-(logp + a_r), seq, r)`` and applies every
-action it pops through the checked path, ``apply_primitive`` or
-``apply_abstraction``.  Its states are ``_ChainNode`` objects, and it
+action it pops through the checked path: ``apply_primitive``, or for an
+abstraction the reference walk ``oracles.interpreted``, which shares no
+code with the search's unrolled steps.  Its states are ``_ChainNode`` objects, and it
 rebuilds a program by walking their parents.  It counts the actions that
 raised there, which the search splits into index skips, shape skips,
 failed rewrites and failed chains, and the children it had already
@@ -22,6 +23,7 @@ import mathsynth.enumerator
 import mathsynth.equations
 import mathsynth.programs
 from conftest import doubling_nest
+from oracles import interpreted
 from mathsynth.corpus import GoalOracle
 from mathsynth.enumerator import (
     SearchBudget,
@@ -39,7 +41,6 @@ from mathsynth.programs import (
     Lambda,
     Prim,
     VarRef,
-    apply_abstraction,
     parse_program,
     render_program,
     subterms,
@@ -102,9 +103,7 @@ def heap_solve(task, lib, budget, k=5, patience=None):
             if type(action.head) is Prim:
                 child_eq = apply_primitive(action.head.name, node.eq, action.lits[0])
             else:
-                child_eq = apply_abstraction(
-                    action.head.abstraction, (node.eq,) + action.lits
-                )
+                child_eq = interpreted(action.head.abstraction, (node.eq,) + action.lits)
         except (PrimitiveError, EvalError):
             unapplied += 1
             continue
@@ -219,29 +218,23 @@ _CALL_TASKS = ("(= (* 3 x) 6)", "(= (+ x 3) 5)", "(= x (/ 6 2))")
 
 
 def _unrolled_library():
-    """Abstractions the search unrolls into rule steps (a call nested two
-    deep, an index computed by newConstGen, three arguments) and one it
-    cannot, with an inner lambda; fitted toward calls of each."""
+    """Abstractions the search unrolls into rule steps: a call nested two
+    deep, an index computed by newConstGen, three arguments; fitted toward
+    calls of each."""
     lib = Library.initial()
     for text in (
         "(lambda (#(lambda (#(lambda (simplify (rrotate $0 1) 0)) (sub $0 3))) (swap $0 1)))",
         "(lambda (lambda (simplify (rrotate (sub $1 (newConstGen $0 1 1)) 1) 0)))",
         "(lambda (lambda (lambda (#(lambda (lambda (simplify (rrotate $1 $0) 0))) (div $2 $1) $0))))",
-        "(lambda ((lambda (swap $0 1)) $0))",
     ):
         lib.add_abstraction(parse_program(text))
-    calls = [
-        "(lambda (fn_0 $0))",
-        "(lambda (fn_1 $0 2))",
-        "(lambda (fn_2 $0 3 1))",
-        "(lambda (fn_0 (fn_3 $0)))",
-    ]
+    calls = ["(lambda (fn_0 $0))", "(lambda (fn_1 $0 2))", "(lambda (fn_2 $0 3 1))"]
     return fit_grammar(lib, [parse_program(c, lib) for c in calls] * 3)
 
 
 def test_unrolled_abstraction_actions_match_single_heap(monkeypatch):
-    """Only the body with an inner lambda goes through apply_abstraction;
-    the others run as rule steps and search as the oracle does."""
+    """Every abstraction action runs as rule steps, never through
+    apply_abstraction, and searches as the oracle does."""
     called = []
     apply = mathsynth.enumerator.apply_abstraction
 
@@ -257,7 +250,7 @@ def test_unrolled_abstraction_actions_match_single_heap(monkeypatch):
         found, stats = _same_search(_task(prefix), lib, SearchBudget(max_expansions=8_000), k=6)
         heads.update(render_program(t, named=True) for p, _ in found for t in subterms(p))
         failed += stats["chain_failed"]
-    assert called and set(called) == {"fn_3"}
+    assert called == []
     assert failed and {"fn_0", "fn_1", "fn_2"} <= set(heads)
 
 
@@ -265,7 +258,7 @@ def test_set_up_walks_each_nested_call_once(monkeypatch):
     """The doubling nest's deepest member makes 2**19 - 1 calls, past the
     step limit: set-up walks each (abstraction, arguments) pair once and
     never calls apply_abstraction, and each expansion of the action fails
-    as a chain, as the oracle's apply_abstraction call fails."""
+    as a chain, as the oracle's reference walk fails at the limit."""
     walks = Counter()
     walk = mathsynth.programs._unroll_body
 
@@ -277,7 +270,7 @@ def test_set_up_walks_each_nested_call_once(monkeypatch):
         raise AssertionError("a chain went through apply_abstraction")
 
     deep_calls = []
-    apply = apply_abstraction
+    apply = interpreted
 
     def oracle_apply(a, args):
         deep_calls.append(a)
@@ -285,7 +278,7 @@ def test_set_up_walks_each_nested_call_once(monkeypatch):
 
     monkeypatch.setattr(mathsynth.programs, "_unroll_body", counted)
     monkeypatch.setattr(mathsynth.enumerator, "apply_abstraction", unexpected)
-    monkeypatch.setitem(globals(), "apply_abstraction", oracle_apply)
+    monkeypatch.setitem(globals(), "interpreted", oracle_apply)
     lib = Library.initial()
     deep = lib.add_abstraction(doubling_nest(18).body)
     _, stats = _same_search(_task("(= (+ x 2) 9)"), lib, SearchBudget(max_expansions=12), k=1)

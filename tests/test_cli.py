@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mathsynth.training
 from mathsynth.cli import main
 from mathsynth.corpus import (
     load_checkpoint,
@@ -338,6 +339,26 @@ def test_a_task_id_that_names_two_tasks_is_an_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "'t/0'" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_wake_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
+    """A worker that exits mid-search breaks the process pool; train says
+    so on an error line, not in a traceback."""
+    parent = os.getpid()
+
+    def exits(*args, **kwargs):
+        assert os.getpid() != parent, "the search ran in the test process"
+        os._exit(3)
+
+    monkeypatch.setattr(mathsynth.training, "solve_task_with_stats", exits)
+    train = tmp_path / "train.jsonl"
+    save_tasks(str(train), [Task(f"t/{b}", "t", parse_prefix(f"(= (+ x {b}) 6)"), Fraction(6 - b))
+                            for b in (3, 4)])
+    rc = main(["train", "--train", str(train), "--iterations", "1", "--jobs", "2",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a wake worker died" in err
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,19 @@ from mathsynth.equations import (
 )
 from mathsynth.grammar import GrammarError, Library, fit_grammar
 from mathsynth.primitives import apply_primitive
-from mathsynth.programs import ProgramError, evaluate, parse_program, render_program
+from mathsynth.programs import (
+    TINT,
+    TSTR,
+    ProgramError,
+    apply_abstraction,
+    evaluate,
+    infer_type,
+    parse_program,
+    render_program,
+    render_type,
+    split_type,
+    unrolled_steps,
+)
 
 
 def _token_text(tokens):
@@ -176,6 +188,48 @@ def test_checkpoint_loading_raises_only_grammar_or_program_errors(doc):
         Library.from_dict(doc)
     except (GrammarError, ProgramError):
         pass
+
+
+# program text in the shape of terms: lambdas, calls of any head on any
+# number of arguments, variables and literals, so that some of it parses
+# and is a chain, and more of it parses and is not
+TERM_TEXT = st.recursive(
+    st.sampled_from(["$0", "$1", "0", "3", "10", "sub", "swap", "newConstGen", "fn_0"]),
+    lambda inner: st.builds("(lambda {})".format, inner)
+    | st.lists(inner, min_size=2, max_size=4).map(lambda ts: f"({' '.join(ts)})"),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(PROGRAM_TEXT, TERM_TEXT.map("(lambda {})".format)))
+@example("(lambda (fn_0 (sub $0 3)))")
+@example("(lambda (lambda (swap $1 (newConstGen $0 3 0))))")
+@example("(lambda (lambda (lambda ($2 $1 $0))))")
+def test_a_checkpoint_abstraction_loads_only_as_a_chain(text):
+    """Loading raises only GrammarError or ProgramError, and every
+    abstraction that loads unrolls into steps."""
+    base = Library.from_dict(CHECKPOINT)
+    try:
+        type_ = render_type(infer_type(parse_program(text, base)))
+    except ProgramError:
+        type_ = "tstr -> tstr"  # the body is refused before its type is read
+    doc = json.loads(json.dumps(CHECKPOINT))
+    doc["productions"].append({"kind": "abstraction", "name": "fn_9", "type": type_,
+                               "log_weight": 0.0, "body": text, "origin_iteration": 1})
+    try:
+        lib = Library.from_dict(doc)
+    except (GrammarError, ProgramError):
+        return
+    for a in lib.abstractions():
+        types, result = split_type(a.type)
+        assert set(types) <= {TSTR, TINT} and types.count(TSTR) == (result == TSTR)
+        ints = (2,) * types.count(TINT)
+        if result == TSTR:
+            steps = unrolled_steps(a, ints)
+            assert all(type(name) is str and type(i) is int for name, i in steps)
+        else:
+            assert type(apply_abstraction(a, ints)) is int
 
 
 def _task_records():

@@ -1,10 +1,13 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mathsynth.programs
-from conftest import HAND_WRITTEN, doubling_nest, equations
+from conftest import HAND_WRITTEN, NOT_CHAINS, doubling_nest, equations
 from mathsynth.equations import parse_prefix
+from mathsynth.grammar import Library
 from mathsynth.primitives import PrimitiveError, apply_primitive
 from mathsynth.programs import (
     AbsRef,
@@ -31,6 +34,7 @@ from mathsynth.programs import (
     split_type,
     unrolled_steps,
 )
+from oracles import interpreted
 
 
 def test_parse_pinned_forms():
@@ -127,28 +131,13 @@ def test_identity_trace_is_input_only():
 
 def test_evaluate_propagates_primitive_errors():
     p = parse_program("(lambda (swap $0 1))")
-    with pytest.raises(EvalError):
-        evaluate(p, parse_prefix("(= (- 5 x) 3)"))
-
-
-def test_a_primitive_failure_message_is_built_only_when_read(monkeypatch):
-    """The message renders the whole equation, which the chain search, the
-    main catcher, never reads; the text stays the one it always was."""
-    rendered = []
-    render = mathsynth.programs.render_prefix
-    monkeypatch.setattr(
-        mathsynth.programs, "render_prefix", lambda e: rendered.append(e) or render(e)
-    )
-    p = parse_program("(lambda (swap $0 1))")
     with pytest.raises(EvalError) as info:
         evaluate(p, parse_prefix("(= (- 5 x) 3)"))
-    assert rendered == []
     assert str(info.value) == (
         "swap at index 1 failed on (= (- 5 x) 3): "
         "swap does not apply to the subtree at index 1"
     )
     assert type(info.value.__cause__) is PrimitiveError
-    assert len(rendered) == 1
 
 
 def test_evaluate_rejects_non_function_programs():
@@ -193,44 +182,17 @@ SWAPPED = ["(= (+ x 2) 9)", "(= (+ 2 x) 9)"]
 @pytest.mark.parametrize(
     "program, states",
     [
-        (parse_program("(lambda ((lambda (swap $0 1)) $0))"), SWAPPED),
         # the eta-reduced form training stores: a bare reference
         (AbsRef(Abstraction(parse_program("(lambda (swap $0 1))"))), SWAPPED),
         (parse_program("(lambda (swap $0 (newConstGen 1 1 0)))"), SWAPPED),
-        # states inside the program's own lambda are recorded
-        (
-            parse_program("(lambda ((lambda (sub (swap $0 1) 2)) (swap $0 1)))"),
-            SWAPPED + ["(= (+ x 2) 9)", "(= (- (+ x 2) x) (- 9 x))"],
-        ),
     ],
-    ids=["beta-redex", "bare-absref", "int-subterm", "inner-lambda"],
+    ids=["bare-absref", "int-subterm"],
 )
 def test_traced_states_through_generic_applications(program, states):
     e = parse_prefix("(= (+ x 2) 9)")
     result, traced = evaluate(program, e, trace=True)
     assert traced == [parse_prefix(s) for s in states]
     assert result == traced[-1]
-
-
-def _twice_nested(n):
-    """(lambda (D (D ... (D (lambda $0))) $0)) with D = twice: applies the
-    identity 2**n times."""
-    twice = parse_program("(lambda (lambda ($1 ($1 $0))))")
-    term = parse_program("(lambda $0)")
-    for _ in range(n):
-        term = Apply(twice, term)
-    return Lambda(Apply(term, VarRef(0)))
-
-
-def test_step_limit_stops_runaway_programs():
-    program = _twice_nested(20)
-    assert infer_type(program) == arrow(TSTR, TSTR)
-    e = parse_prefix("(= (+ x 2) 9)")
-    assert evaluate(_twice_nested(5), e) == (e, None)
-    with pytest.raises(EvalError, match="step limit"):
-        evaluate(program, e)
-    with pytest.raises(EvalError, match="step limit"):
-        apply_abstraction(Abstraction(program), (e,))
 
 
 def test_step_limit_stops_nested_abstraction_calls():
@@ -248,10 +210,42 @@ def test_step_limit_stops_nested_abstraction_calls():
 
 
 def test_partial_applications_take_arguments_in_call_order():
-    # swap gets its equation, then its index; newConstGen 0 5 1 is 0 * 5 + 1
-    p = parse_program("(lambda ((lambda ($0 (newConstGen 0 5 1))) (swap $0)))")
+    """A partial application is no chain; a call takes its arguments in
+    call order, here the index before the equation."""
     e = parse_prefix("(= (+ x 2) 9)")
+    with pytest.raises(EvalError, match="swap takes 2 arguments, not 1"):
+        evaluate(parse_program(NOT_CHAINS["partial-application"]), e)
+    # newConstGen 0 5 1 is 0 * 5 + 1
+    p = parse_program("(lambda (#(lambda (lambda (swap $0 $1))) (newConstGen 0 5 1) $0))")
+    assert split_type(p.body.fn.fn.abstraction.type)[0] == (TINT, TSTR)
     assert evaluate(p, e, trace=True)[1] == [e, parse_prefix("(= (+ 2 x) 9)")]
+
+
+@pytest.mark.parametrize("text", NOT_CHAINS.values(), ids=NOT_CHAINS.keys())
+def test_a_term_that_is_no_chain_is_refused(text):
+    """As an abstraction body, inline, in a checkpoint or run as a program."""
+    term = parse_program(text)
+    with pytest.raises(ProgramError):
+        Abstraction(term)
+    with pytest.raises(ProgramError):
+        parse_program(f"#{text}")
+    doc = Library.initial().to_dict()
+    doc["productions"].append({"kind": "abstraction", "name": "fn_0", "type": "tstr -> tstr",
+                               "log_weight": 0.0, "body": text, "origin_iteration": 1})
+    with pytest.raises(ProgramError):
+        Library.from_dict(doc)
+    with pytest.raises(EvalError):
+        evaluate(term, parse_prefix("(= (+ x 2) 9)"))
+
+
+def test_an_abstraction_renders_inline_once_and_travels_without_its_caches():
+    a = doubling_nest(3)
+    text = render_program(AbsRef(a))
+    assert text.count("#(lambda (swap $0 1))") == 8
+    assert render_program(Lambda(Apply(AbsRef(a), VarRef(0)))) == f"(lambda ({text} $0))"
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and copy.type == a.type and copy._text is None
+    assert render_program(AbsRef(copy)) == text
 
 
 def test_spine_and_map_leaves_go_left_to_right():
@@ -273,12 +267,6 @@ UNROLLED = [
     "(lambda (lambda (simplify (swap (sub $1 3) (newConstGen $0 1 1)) 0)))",
     "(lambda (lambda (swap $1 (#(lambda (lambda (newConstGen $0 $1 1))) $0 2))))",
 ]
-# bodies that are no chain: an inner lambda, and an equation used twice,
-# once by a call that drops it
-NOT_CHAINS = [
-    "(lambda ((lambda (swap $0 1)) $0))",
-    "(lambda (#(lambda (lambda (sub $1 1))) $0 (swap $0 1)))",
-]
 
 
 def _replayed(steps, eq):
@@ -297,35 +285,33 @@ def _outcome(run):
 @settings(max_examples=100, deadline=None)
 @given(eq=equations(), lits=st.lists(st.integers(0, 10), min_size=2, max_size=2))
 def test_unrolled_steps_replay_the_abstraction_call(mini_run, eq, lits):
-    """Applied through apply_primitive, the steps give what the compiled
-    call gives, failures included; only a body that is no chain has none."""
+    """Applied through apply_primitive, the steps give what the reference
+    walk gives, failures included."""
     result, _ = mini_run
-    texts = HAND_WRITTEN + UNROLLED + NOT_CHAINS
     learned = result.library.abstractions()
     assert learned
-    for a in [Abstraction(parse_program(t)) for t in texts] + learned:
+    for a in [Abstraction(parse_program(t)) for t in HAND_WRITTEN + UNROLLED] + learned:
         types, _ = split_type(a.type)
+        assert types[0] == TSTR
         ints = tuple(lits[: len(types) - 1])
         steps = unrolled_steps(a, ints)
-        assert (steps is None) == (render_program(a.body) in NOT_CHAINS), a
-        if steps is not None:
-            assert types[0] == TSTR
-            assert _outcome(lambda: _replayed(steps, eq)) == _outcome(
-                lambda: apply_abstraction(a, (eq,) + ints)
-            ), (a, ints)
+        assert _outcome(lambda: _replayed(steps, eq)) == _outcome(
+            lambda: interpreted(a, (eq,) + ints)
+        ), (a, ints)
 
 
 def test_unrolled_steps_keep_the_step_limit_exact(monkeypatch):
-    """A chain makes one step per abstraction call; the unroller fails a
-    call exactly where the compiled call fails, and only there."""
+    """The unroller fails a call exactly where the reference walk does, at
+    the call past the limit, and only there."""
     e = parse_prefix("(= (+ x 2) 9)")
     assert unrolled_steps(doubling_nest(2), ()) == (("swap", 1),) * 4
     # doubling_nest(2) makes 7 calls, doubling_nest(3) 15
     monkeypatch.setattr(mathsynth.programs, "_STEP_LIMIT", 7)
-    assert apply_abstraction(doubling_nest(2), (e,)) == e
+    assert apply_abstraction(doubling_nest(2), (e,)) == interpreted(doubling_nest(2), (e,)) == e
     assert len(unrolled_steps(doubling_nest(2), ())) == 4
-    with pytest.raises(EvalError, match="step limit"):
-        apply_abstraction(doubling_nest(3), (e,))
+    for run in (apply_abstraction, interpreted):
+        with pytest.raises(EvalError, match="step limit"):
+            run(doubling_nest(3), (e,))
     with pytest.raises(EvalError, match="step limit"):
         unrolled_steps(doubling_nest(3), ())
     monkeypatch.setattr(mathsynth.programs, "_STEP_LIMIT", 6)

@@ -8,17 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mathsynth.training
-from conftest import CHAIN, HAND_WRITTEN_ABSTRACTIONS, equations, seeded_setup
+from conftest import CHAIN, HAND_WRITTEN_ABSTRACTIONS, doubling_nest, equations, seeded_setup
 from mathsynth.corpus import load_checkpoint, make_task
 from mathsynth.enumerator import SearchBudget, Task, solve_task_with_stats
-from mathsynth.equations import Node, check_solved, parse_prefix
-from mathsynth.grammar import Library
-from mathsynth.primitives import (
-    EQUATION_PRIMITIVES,
-    PrimitiveError,
-    apply_primitive,
-    new_const_gen,
-)
+from mathsynth.equations import check_solved, parse_prefix
+from mathsynth.grammar import Library, fit_grammar
+from mathsynth.primitives import apply_primitive
 from mathsynth.programs import (
     TINT,
     AbsRef,
@@ -46,6 +41,7 @@ from mathsynth.training import (
     evaluate_tasks,
     run_training_loop,
 )
+from oracles import interpreted
 
 
 def abstraction_names(term):
@@ -252,51 +248,6 @@ def test_a_wake_of_fewer_than_two_tasks_starts_no_pool(monkeypatch):
     assert pools == [2, 3]
 
 
-def _reference_eval(term, env):
-    """A call-by-value walk over the term itself, abstraction bodies
-    included; nothing in it is compiled.  A function value is a tuple:
-    ("closure", body, env) or ("prim", name, arity, arguments so far)."""
-    tt = type(term)
-    if tt is IntLit:
-        return term.value
-    if tt is VarRef:
-        return env[term.index]
-    if tt is Prim:
-        return ("prim", term.name, 3 if term.name == "newConstGen" else 2, ())
-    if tt is AbsRef:
-        return _reference_eval(term.abstraction.body, ())
-    if tt is Lambda:
-        return ("closure", term.body, env)
-    return _reference_apply(_reference_eval(term.fn, env), _reference_eval(term.arg, env))
-
-
-def _reference_apply(fn, arg):
-    if type(fn) is not tuple:
-        raise EvalError("not a function")
-    if fn[0] == "closure":
-        return _reference_eval(fn[1], (arg,) + fn[2])
-    _, name, arity, got = fn
-    got += (arg,)
-    if len(got) < arity:
-        return ("prim", name, arity, got)
-    if name == "newConstGen":
-        return new_const_gen(*got)
-    if type(got[0]) is not Node or got[0].op != "=":
-        raise EvalError("not an equation")
-    try:
-        return EQUATION_PRIMITIVES[name](*got)
-    except PrimitiveError:
-        raise EvalError(name) from None
-
-
-def _interpreted(a, args):
-    """The abstraction run by the reference walk, never compiled."""
-    value = _reference_eval(a.body, ())
-    for arg in args:
-        value = _reference_apply(value, arg)
-    return value
-
-
 def _outcome(run):
     try:
         return run()
@@ -317,7 +268,7 @@ def test_compiled_abstractions_match_the_interpreter(mini_run, eq, lits):
             t = t[2]
         args = tuple(args)
         assert _outcome(lambda: apply_abstraction(a, args)) == _outcome(
-            lambda: _interpreted(a, args)
+            lambda: interpreted(a, args)
         ), (a, args)
 
 
@@ -381,3 +332,22 @@ def test_a_wall_timeout_that_fires_is_flagged_and_logged(caplog):
     assert wake[task.id][1]["stop"] == "timeout"
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "hard/0" in caplog.records[0].getMessage()
+
+
+def test_the_step_limit_holds_per_top_level_call():
+    """One call of the doubling nest A_15 makes 65,535 abstraction calls,
+    under the step limit, and two calls make more than it together.
+    evaluate gives each top-level call a limit of its own, as the search
+    gives each action, so a program that the search returns through two
+    such calls passes its probes."""
+    e = parse_prefix("(= (+ x 2) 9)")
+    a15 = Abstraction(doubling_nest(15).body, name="a15")
+    assert evaluate(Lambda(Apply(AbsRef(a15), Apply(AbsRef(a15), VarRef(0)))), e) == (e, None)
+    lib = Library.initial()
+    for text in ("(lambda (swap (a15 $0) 1))", "(lambda (simplify (rrotate (sub (a15 $0) 3) 1) 0))"):
+        lib.add_abstraction(parse_program(text, [a15]))
+    lib = fit_grammar(lib, [parse_program("(lambda (fn_1 (fn_0 $0)))", lib)] * 6)
+    task = make_task("b_plus_x", 0, random.Random(1))
+    found, _ = solve_task_with_stats(task, lib, SearchBudget(max_expansions=2_000), k=1)
+    assert [render_program(p, named=True) for p, _ in found] == ["(lambda (fn_1 (fn_0 $0)))"]
+    assert _passes_probes(found[0][0], task, n_probes=2, seed=0)
