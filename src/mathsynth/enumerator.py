@@ -9,28 +9,37 @@ non-increasing log-prior order and deduplicated, keeping the first (best
 priority) program per state, so a fixed library and budget always give the
 same search.
 
+A state is its creation number, seq: the root is 0 and each new state
+takes the next.  The search keeps four flat columns indexed by seq: the
+states' equations (a list), their log priors (an array of doubles), and
+their parents' seqs and the ranks of the actions that made them (arrays of
+64-bit ints, -1 for the root).  A returned program is rebuilt by walking
+the parents and ranks back to the root.  So the search itself holds about
+70 bytes per state: a slot in each column and an entry of the visited
+dict.  The state's nodes belong to the intern table.
+
 The chain search's frontier holds one cursor per state: the rank r of the
 next action to try on it, in the library's best-first action order.  A
-state is a tuple (eq, logp, parent, rank), with rank the action that
-made it from parent; a returned program is rebuilt by walking the parents.
-A cursor's key is ``(-(logp + a_r), seq, r)``, with logp the state's log
-prior, a_r the log probability of action r and seq the state's creation
-number, and the cursor with the smallest key is expanded next.  Expanding
-a cursor tries action r and moves the cursor on to rank r + 1.  Every
-expanded cursor counts as one expansion, whether the action applies,
-fails its precondition, or is skipped because its index lies outside the
-equation or the subtree there fails the primitive's shape precondition;
-max_expansions and patience count these.  The keys never repeat, so the
-expansion order is fully determined by them.
+cursor's key is ``(-(logp + a_r), seq, r)``, with logp the state's log
+prior and a_r the log probability of action r, and the cursor with the
+smallest key is expanded next.  Expanding a cursor tries action r and
+moves the cursor on to rank r + 1.  Every expanded cursor counts as one
+expansion, whether the action applies, fails its precondition, or is
+skipped because its index lies outside the equation or the subtree there
+fails the primitive's shape precondition; max_expansions and patience
+count these.  The keys never repeat, so the expansion order is fully
+determined by them.
 
 The frontier is two queues, and a pop takes the smaller of their heads.
 Every cursor a search makes has a key no smaller than the one being
 expanded, so the expanded keys never decrease.  Every state's first
 cursor is its rank-0 cursor.  A new state's log prior is minus the key
-that made it, so these cursors are made in key order, their seqs
-increasing, and the root's, seq 0, comes first: they are appended to a
-plain list read from a head index.  A heap holds the rest, the cursors
-that go back into the frontier after a run.
+that made it, so states are made in the key order of their rank-0
+cursors, and the columns in seq order already are the queue of those
+cursors, the root's first.  It is read from a head seq, and the key of
+its head, ``-(logp[seq] + a_0)``, is computed when it is peeked.  A heap
+holds the rest, the cursors ``(key, seq, rank)`` that go back into the
+frontier after a run.
 
 A popped state is expanded in a run: it keeps the floor, rank after rank,
 while its next cursor's key is smaller than every key in the frontier, the
@@ -72,7 +81,7 @@ again.  The table is closed when the search returns or raises, so it never
 outlives one search, and each --jobs worker has its own.
 
 The cyclic garbage collector is paused for the length of a search.  A
-search makes no reference cycles: its states, cursors and table are freed
+search makes no reference cycles: its columns, cursors and table are freed
 by reference counting when it ends.  But it allocates hundreds of thousands
 of long-lived objects, and every collection would walk them all and free
 nothing.  The collector is turned back on after the table is closed, and
@@ -92,6 +101,8 @@ step, step limit included), failed (their sum) and duplicates (the child
 was a state already visited).  Every other expansion makes a new state,
 except the one that finds the clock run out, so expansions = skipped +
 failed + duplicates + states - 1, plus one when stop is "timeout".
+seconds is the search's own monotonic wall time, set-up and teardown
+included.  No artifact holds any of these stats.
 """
 
 from __future__ import annotations
@@ -99,6 +110,7 @@ from __future__ import annotations
 import gc
 import itertools
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -161,8 +173,8 @@ def _chain_actions(lib: Library) -> list[_Action]:
     lit_logp = {v: lib.table(CTX_TINT)[IntLit(v)][0] for v in LITERAL_RANGE}
     actions = []
     for head, (log_prob, arg_ctxs) in lib.table(CTX_TSTR).items():
-        if arg_ctxs[:1] != (CTX_TSTR,) or any(a != CTX_TINT for a in arg_ctxs[1:]):
-            continue  # the variable, or not a chainable equation transformer
+        if not arg_ctxs:
+            continue  # the variable; every other head takes the equation, then integers
         n_int = len(arg_ctxs) - 1
         prefix = f"({render_program(head)} "
         for lits in itertools.product(LITERAL_RANGE, repeat=n_int):
@@ -173,13 +185,14 @@ def _chain_actions(lib: Library) -> list[_Action]:
     return actions
 
 
-def _rebuild_program(state: tuple, actions: list[_Action]) -> Term:
-    """The program of a search state ``(eq, logp, parent, rank)``: the
-    chain of the actions, ``actions[rank]``, that made it from the root."""
+def _rebuild_program(seq: int, parents, made_by, actions: list[_Action]) -> Term:
+    """The program of the search state ``seq``: the chain of the actions
+    that made it from the root, seq 0, ``actions[made_by[s]]`` for each
+    state s on the way."""
     steps = []
-    while state[2] is not None:
-        steps.append(actions[state[3]])
-        state = state[2]
+    while seq:
+        steps.append(actions[made_by[seq]])
+        seq = parents[seq]
     body: Term = VarRef(0)
     for action in reversed(steps):
         body = Apply(action.head, body)
@@ -202,15 +215,18 @@ def solve_task_with_stats(
     wake-phase throughput and keeps runs deterministic (the cutoff counts
     expansions, not time).
     """
+    start = time.monotonic()
     previous = open_table()
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
-        return _chain_search(task, lib, budget, k, patience)
+        found, stats = _chain_search(task, lib, budget, k, patience)
     finally:
         close_table(previous)
         if gc_was_on:
             gc.enable()
+    stats["seconds"] = time.monotonic() - start
+    return found, stats
 
 
 _INF = float("inf")
@@ -249,7 +265,6 @@ def _chain_search(task, lib, budget, k, patience):
     cutoff = budget.max_expansions
 
     root_eq = intern(task.input)
-    root = (root_eq, var_logp, None, None)
     first_solution = None
     if check_solved(root_eq) == task.goal:
         found.append((Lambda(VarRef(0)), var_logp))
@@ -257,23 +272,24 @@ def _chain_search(task, lib, budget, k, patience):
         if patience is not None:
             cutoff = min(cutoff, patience)
 
+    # the states, by seq: equation, log prior, parent seq and the rank that
+    # made it; the root, seq 0, has no parent
+    eqs = [root_eq]
+    priors = array("d", [var_logp])
+    parents = array("q", [-1])
+    made_by = array("q", [-1])
     visited = {root_eq: True}
-    heap = []  # put-back cursors (key, seq, rank, state)
-    fifo = []  # rank-0 cursors (key, seq, state) of every state, in key order
-    fifo_head = 0  # fifo[:fifo_head] are expanded
+    heap = []  # put-back cursors (key, seq, rank)
     push = heappush
-    append = fifo.append
     # with no actions the root has no cursor and nothing is expanded
     logp0 = logps[0] if actions else 0.0
-    if actions:
-        append((-(var_logp + logp0), 0, root))
+    fifo_head = 0 if actions else 1  # the rank-0 cursors of eqs[:fifo_head] are expanded
     expansions = index_skips = shape_skips = rewrite_failed = chain_failed = duplicates = 0
-    nodes_made = 0
     timed_out = False
-    state = None  # the state whose run is in progress, at cursor rank
+    seq = None  # the state whose run is in progress, at cursor rank
     start = time.monotonic()
     while (
-        (state is not None or heap or fifo_head < len(fifo))
+        (seq is not None or heap or fifo_head < len(eqs))
         and len(found) < k
         and expansions < cutoff
     ):
@@ -281,25 +297,25 @@ def _chain_search(task, lib, budget, k, patience):
         if expansions % 1024 == 0 and time.monotonic() - start > budget.wall_timeout:
             timed_out = True
             break
-        if state is None:
+        if seq is None:
             # pop the smaller head by (key, seq); seqs are unique, so a
-            # comparison never reaches a rank or a state
+            # comparison never reaches a rank
             h = heap[0] if heap else _EMPTY
-            f = fifo[fifo_head] if fifo_head < len(fifo) else _EMPTY
+            f = (-(priors[fifo_head] + logp0), fifo_head) if fifo_head < len(eqs) else _EMPTY
             if f < h:
-                _, seq, state = f
+                seq = fifo_head
                 rank = 0
                 fifo_head += 1
-                f = fifo[fifo_head] if fifo_head < len(fifo) else _EMPTY
+                f = (-(priors[fifo_head] + logp0), fifo_head) if fifo_head < len(eqs) else _EMPTY
             else:
-                _, seq, rank, state = heappop(heap)
+                _, seq, rank = heappop(heap)
                 h = heap[0] if heap else _EMPTY
-            eq, logp = state[0], state[1]
+            eq, logp = eqs[seq], priors[seq]
             table = subtrees(eq)
             n_nodes = len(table)
             # the smallest (key, seq) in the frontier; from here on only
             # children join it
-            top_key, top_seq = min(h[:2], f[:2])
+            top_key, top_seq = min(h[:2], f)
         rewrite = rewrites[rank]
         child_eq = None
         if rewrite is not None:
@@ -341,35 +357,38 @@ def _chain_search(task, lib, budget, k, patience):
                 duplicates += 1
             else:
                 visited[child_eq] = True
-                nodes_made += 1
+                child = len(eqs)
                 child_logp = logp + logps[rank]
-                child = (child_eq, child_logp, state, rank)
+                eqs.append(child_eq)
+                priors.append(child_logp)
+                parents.append(seq)
+                made_by.append(rank)
                 solution = check_solved(child_eq)
                 if solution is not None and solution == task.goal:
-                    found.append((_rebuild_program(child, actions), child_logp))
+                    found.append((_rebuild_program(child, parents, made_by, actions), child_logp))
                     if first_solution is None:
                         first_solution = expansions
                     if patience is not None:
                         cutoff = min(cutoff, expansions + patience)
-                # expanded keys never decrease, so neither do these
+                # expanded keys never decrease, so neither do these: the
+                # child's rank-0 cursor joins the queue at its seq
                 key = -(child_logp + logp0)
-                append((key, nodes_made, child))
-                if key < top_key or (key == top_key and nodes_made < top_seq):
-                    top_key, top_seq = key, nodes_made
+                if key < top_key or (key == top_key and child < top_seq):
+                    top_key, top_seq = key, child
         rank += 1
         if rank == n_actions:
-            state = None
+            seq = None
         else:
             key = -(logp + logps[rank])
             if key > top_key or (key == top_key and seq > top_seq):
-                push(heap, (key, seq, rank, state))
-                state = None
+                push(heap, (key, seq, rank))
+                seq = None
 
     if timed_out:
         stop = "timeout"
     elif len(found) >= k:
         stop = "k"
-    elif state is None and not heap and fifo_head == len(fifo):
+    elif seq is None and not heap and fifo_head == len(eqs):
         stop = "frontier"
     elif cutoff < budget.max_expansions:
         stop = "patience"

@@ -19,13 +19,14 @@ integer-valued chain.  infer_type reads a chain's type off these positions.
 An abstraction body is leading lambdas over a chain that uses every
 parameter, an equation parameter once.  Every equation-taking head takes one
 equation and every integer-valued one takes none, so a body that returns an
-equation takes exactly one and each equation it makes feeds the next step,
-and a body that returns an integer takes none.  The Abstraction constructor
-raises ProgramError for any other body: an inner lambda, a partial
-application, a function-valued argument, an unused parameter or an equation
-used twice.  A top-level program is ``(lambda $0)``, a lambda over a chain on
-``$0``, or a bare tstr -> tstr abstraction reference, the eta-reduced form
-training stores.
+equation takes exactly one, as its first parameter, and each equation it
+makes feeds the next step, and a body that returns an integer takes none.
+The Abstraction constructor raises ProgramError for any other body: an inner
+lambda, a partial application, a function-valued argument, an unused
+parameter, an equation used twice, or an equation parameter that is not the
+first, which no chain search step could call.  A top-level program is
+``(lambda $0)``, a lambda over a chain on ``$0``, or a bare tstr -> tstr
+abstraction reference, the eta-reduced form training stores.
 
 There is one runner.  unrolled_steps turns a call of an abstraction into the
 (primitive name, index) steps it makes.  evaluate splits a program into its
@@ -151,6 +152,12 @@ class Abstraction:
         if type(body) is not Lambda:
             raise ProgramError("an abstraction body must start with a lambda")
         self.type = infer_type(body)
+        params, result = split_type(self.type)
+        if result == TSTR and params[0] != TSTR:
+            raise ProgramError(
+                f"an abstraction of type {render_type(self.type)} does not take"
+                " its equation first"
+            )
         self.body = body
         self.name = name
         self.origin_iteration = origin_iteration
@@ -470,9 +477,7 @@ def unrolled_steps(a: Abstraction, ints: tuple, memo: Optional[dict] = None) -> 
     does whatever the equation.  ``memo`` maps (abstraction, arguments) to
     the walk's result, so a caller that unrolls many calls walks each
     nested call once."""
-    ints = iter(ints)
-    args = tuple(() if t == TSTR else next(ints) for t in split_type(a.type)[0])
-    return _unrolled_call(a, args, {} if memo is None else memo)[1]
+    return _unrolled_call(a, ((), *ints), {} if memo is None else memo)[1]
 
 
 def _unrolled_call(a: Abstraction, args: tuple, memo: dict):
@@ -520,7 +525,7 @@ def _unroll_call(head, values: list, memo: dict, calls: list):
         if head.name == "newConstGen":
             return new_const_gen(*values)
         return values[0] + ((head.name, values[1]),)
-    eq = next((v for v in values if type(v) is tuple), ())
+    eq = values[0] if type(values[0]) is tuple else ()
     found = _unrolled_call(head.abstraction, tuple(() if v is eq else v for v in values), memo)
     calls[0] += found[0]
     if calls[0] > _STEP_LIMIT:
@@ -545,7 +550,7 @@ def _top_level_calls(p: Term, memo: dict) -> list:
             for arg, t in zip(args, types)
         ]
         calls.append(_unroll_call(head, values, memo, count))
-        term = args[types.index(TSTR)]
+        term = args[0]
     return calls[::-1]
 
 
@@ -573,7 +578,7 @@ def apply_abstraction(a: Abstraction, args: tuple):
     value = _unrolled_call(a, tuple(() if t == TSTR else v for v, t in zip(args, types)), {})[1]
     if type(value) is not tuple:
         return value  # an integer-valued abstraction
-    return _run((value,), args[types.index(TSTR)])
+    return _run((value,), args[0])
 
 
 def evaluate(p: Term, input_equation: Equation, trace: bool = False):

@@ -15,6 +15,7 @@ visited.
 
 import gc
 import heapq
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -147,6 +148,7 @@ def _same_search(task, lib, budget, k, patience=None):
     got, got_stats = solve_task_with_stats(task, lib, budget, k=k, patience=patience)
     want, want_stats = heap_solve(task, lib, budget, k=k, patience=patience)
     compared = dict(got_stats)
+    del compared["seconds"]  # the oracle keeps no clock
     skipped = compared.pop("skipped")
     assert skipped == compared.pop("index_skips") + compared.pop("shape_skips")
     failed = compared.pop("failed")
@@ -300,6 +302,47 @@ def test_a_returned_log_prior_is_the_library_prior():
             assert logp == pytest.approx(lib.log_prior(program), abs=1e-9)
             heads.update(render_program(t, named=True) for t in subterms(program))
     assert {"fn_0", "fn_1", "fn_2", "simplify"} <= heads
+
+
+def test_a_state_costs_the_search_at_most_100_bytes(monkeypatch):
+    """What the search's own code holds per state, its Node objects aside:
+    at the 10,000th state, root included, the bytes allocated in
+    enumerator.py and not yet freed.  A state is a slot in each of four
+    per-search columns and an entry of the visited dict, about 67 B.
+    tracemalloc counts requested bytes, so the figure is the same on any
+    host."""
+    made = 0
+    snapshot = None
+
+    def spy(e):
+        nonlocal made, snapshot
+        made += 1
+        if made == 10_000:
+            snapshot = tracemalloc.take_snapshot()
+        return check_solved(e)
+
+    monkeypatch.setattr(mathsynth.enumerator, "check_solved", spy)
+    tracemalloc.start()
+    try:
+        _, stats = solve_task_with_stats(
+            _task("(= (+ (* 3 x) (* 4 x)) 9)"),
+            Library.initial(),
+            SearchBudget(max_expansions=40_000),
+            k=1,
+        )
+    finally:
+        tracemalloc.stop()
+    assert stats["states"] > 10_000
+    own = snapshot.filter_traces([tracemalloc.Filter(True, mathsynth.enumerator.__file__)])
+    held = sum(stat.size for stat in own.statistics("filename"))
+    assert held / 10_000 <= 100
+
+
+def test_a_search_reports_its_own_wall_time():
+    _, stats = solve_task_with_stats(
+        _task("(= (+ x 4) 6)"), Library.initial(), SearchBudget(max_expansions=2_000), k=1
+    )
+    assert type(stats["seconds"]) is float and stats["seconds"] >= 0
 
 
 def _closed():

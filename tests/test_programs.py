@@ -211,14 +211,37 @@ def test_step_limit_stops_nested_abstraction_calls():
 
 def test_partial_applications_take_arguments_in_call_order():
     """A partial application is no chain; a call takes its arguments in
-    call order, here the index before the equation."""
+    call order, here the equation before the index."""
     e = parse_prefix("(= (+ x 2) 9)")
     with pytest.raises(EvalError, match="swap takes 2 arguments, not 1"):
         evaluate(parse_program(NOT_CHAINS["partial-application"]), e)
     # newConstGen 0 5 1 is 0 * 5 + 1
-    p = parse_program("(lambda (#(lambda (lambda (swap $0 $1))) (newConstGen 0 5 1) $0))")
-    assert split_type(p.body.fn.fn.abstraction.type)[0] == (TINT, TSTR)
+    p = parse_program("(lambda (#(lambda (lambda (swap $1 $0))) $0 (newConstGen 0 5 1)))")
+    assert split_type(p.body.fn.fn.abstraction.type)[0] == (TSTR, TINT)
     assert evaluate(p, e, trace=True)[1] == [e, parse_prefix("(= (+ 2 x) 9)")]
+
+
+def test_an_abstraction_that_takes_its_equation_later_is_refused():
+    """The search chains a call on its first argument, so a body typed
+    tint -> tstr -> tstr could never be used: it is refused as an
+    abstraction body, inline, in a checkpoint and by add_abstraction."""
+    text = "(lambda (lambda (swap $0 $1)))"
+    with pytest.raises(ProgramError, match="tint -> tstr -> tstr does not take its equation first"):
+        Abstraction(parse_program(text))
+    with pytest.raises(ProgramError, match="equation first"):
+        parse_program(f"(lambda (#{text} 1 $0))")
+    doc = Library.initial().to_dict()
+    doc["productions"].append({"kind": "abstraction", "name": "fn_0",
+                               "type": "tint -> tstr -> tstr", "log_weight": 0.0,
+                               "body": text, "origin_iteration": 1})
+    with pytest.raises(ProgramError, match="equation first"):
+        Library.from_dict(doc)
+    lib = Library.initial()
+    with pytest.raises(ProgramError, match="equation first"):
+        lib.add_abstraction(parse_program(text))
+    assert lib.abstractions() == []
+    # an integer-valued body takes no equation at all
+    assert Abstraction(parse_program("(lambda (lambda (newConstGen $0 $1 1)))")).arity == 2
 
 
 @pytest.mark.parametrize("text", NOT_CHAINS.values(), ids=NOT_CHAINS.keys())
