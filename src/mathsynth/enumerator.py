@@ -15,8 +15,8 @@ states' equations (a list), their log priors (an array of doubles), and
 their parents' seqs and the ranks of the actions that made them (arrays of
 64-bit ints, -1 for the root).  A returned program is rebuilt by walking
 the parents and ranks back to the root.  So the search itself holds about
-70 bytes per state: a slot in each column and an entry of the visited
-dict.  The state's nodes belong to the intern table.
+38 bytes per state, a slot in each column.  The state's nodes belong to
+the intern table.
 
 The chain search's frontier holds one cursor per state: the rank r of the
 next action to try on it, in the library's best-first action order.  A
@@ -44,20 +44,24 @@ frontier after a run.
 A popped state is expanded in a run: it keeps the floor, rank after rank,
 while its next cursor's key is smaller than every key in the frontier, the
 cursors of its children included, and goes back into the heap only when
-another cursor is smaller.  Every rank of a run counts as one expansion,
-the popped one and each continued one alike, and each is subject to the
-same k, cutoff and wall-clock checks as a pop.  So a run expands exactly
-the cursors a pop per expansion would, in the same order.  For the length
-of a run the search holds the state's subtrees in a pre-order table.  A
-primitive action tests its rule's shape (the primitive's entry in
-primitives.RULES) on the subtree there and is skipped when it fails;
-otherwise the search calls the rule's rewrite with that subtree itself,
-not primitives.apply_primitive, whose root and range checks hold for every
-state and index it tries.  Where the shape's answer depends on the index
-alone (primitives.shape_at), the search decides it once and calls no
-shape.  The table is dropped when the run ends.  The loop reads each
-rank's log probability, index, shape and rewrite from flat lists built
-once per search.
+another cursor is smaller.  The action log probabilities are sorted best
+first and float addition is monotone, so a state's cursor keys never
+decrease with the rank, and the rank at which the run ends is found by
+bisection (_run_end) when the state is popped, and again only when a child
+lowers the frontier's smallest key.  Every rank of a run counts as one
+expansion, the popped one and each continued one alike, and each is
+subject to the same k, cutoff and wall-clock checks as a pop.  So a run
+expands exactly the cursors a pop per expansion would, in the same order.
+For the length of a run the search holds the state's subtrees in a
+pre-order table.  A primitive action tests its rule's shape (the
+primitive's entry in primitives.RULES) on the subtree there and is skipped
+when it fails; otherwise the search calls the rule's rewrite with that
+subtree itself, not primitives.apply_primitive, whose root and range checks
+hold for every state and index it tries.  Where the shape's answer depends
+on the index alone (primitives.shape_at), the search decides it once and
+calls no shape.  The table is dropped when the run ends.  The loop reads
+each rank's log probability, index, shape and rewrite from flat lists
+built once per search.
 
 An abstraction action is a chain of rule steps.  At set-up the search
 unrolls each one (programs.unrolled_steps) into a tuple of (shape,
@@ -74,11 +78,16 @@ is a chain (see programs), so every abstraction action runs this way.
 Duplicate states are found by identity.  A search opens an equation intern
 table for its length (equations.open_table) and interns the task's input,
 so every state it builds is made of interned nodes: a state reached again
-is the very object stored among the visited states, and the lookup hits
-without comparing trees node by node.  The table carries a simplify memo
-too, so a subtree the search simplifies again is looked up, not normalized
-again.  The table is closed when the search returns or raises, so it never
-outlives one search, and each --jobs worker has its own.
+is the very root node it was made as.  The search marks that root
+(Node.is_state) when it makes the state, the root state included, and a
+child whose root is marked is a duplicate, found with no hash and no
+comparison of trees.  The mark stays on the node when the search ends,
+but no later search reads it: a table's nodes never enter another table,
+since intern rebuilds the task's input in the fresh, empty table.  The
+table carries a simplify memo too, so a subtree the search simplifies
+again is looked up, not normalized again.  The table is closed when the
+search returns or raises, so it never outlives one search, and each --jobs
+worker has its own.
 
 The cyclic garbage collector is paused for the length of a search.  A
 search makes no reference cycles: its columns, cursors and table are freed
@@ -98,7 +107,7 @@ index outside the state), shape_skips (a subtree that fails the shape),
 skipped (their sum), rewrite_failed (a primitive action's rewrite
 raised), chain_failed (an abstraction action stopped before its last
 step, step limit included), failed (their sum) and duplicates (the child
-was a state already visited).  Every other expansion makes a new state,
+was a state already made).  Every other expansion makes a new state,
 except the one that finds the clock run out, so expansions = skipped +
 failed + duplicates + states - 1, plus one when stop is "timeout".
 seconds is the search's own monotonic wall time, set-up and teardown
@@ -244,6 +253,21 @@ def _unrolled(action: _Action, memo: dict):
     return tuple((shape_at(name, i), RULES[name].rewrite, i) for name, i in steps)
 
 
+def _run_end(logp, seq, logps, lo, hi, top_key, top_seq):
+    """The first rank r in [lo, hi) whose cursor ``(-(logp + logps[r]),
+    seq)`` is greater than ``(top_key, top_seq)``, or hi if none is.  logps
+    is sorted best first and float addition is monotone, so the cursors'
+    keys never decrease with r and bisection finds it."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        key = -(logp + logps[mid])
+        if key > top_key or (key == top_key and seq > top_seq):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _chain_search(task, lib, budget, k, patience):
     actions = _chain_actions(lib)
     n_actions = len(actions)
@@ -271,14 +295,16 @@ def _chain_search(task, lib, budget, k, patience):
         first_solution = 0
         if patience is not None:
             cutoff = min(cutoff, patience)
+    if len(found) >= k:
+        cutoff = 0  # the root alone made k programs; the loop tests k after each solution
 
     # the states, by seq: equation, log prior, parent seq and the rank that
     # made it; the root, seq 0, has no parent
     eqs = [root_eq]
+    root_eq.is_state = True
     priors = array("d", [var_logp])
     parents = array("q", [-1])
     made_by = array("q", [-1])
-    visited = {root_eq: True}
     heap = []  # put-back cursors (key, seq, rank)
     push = heappush
     # with no actions the root has no cursor and nothing is expanded
@@ -286,13 +312,9 @@ def _chain_search(task, lib, budget, k, patience):
     fifo_head = 0 if actions else 1  # the rank-0 cursors of eqs[:fifo_head] are expanded
     expansions = index_skips = shape_skips = rewrite_failed = chain_failed = duplicates = 0
     timed_out = False
-    seq = None  # the state whose run is in progress, at cursor rank
+    seq = None  # the state whose run is in progress, at cursor rank; it ends at rank end
     start = time.monotonic()
-    while (
-        (seq is not None or heap or fifo_head < len(eqs))
-        and len(found) < k
-        and expansions < cutoff
-    ):
+    while (seq is not None or heap or fifo_head < len(eqs)) and expansions < cutoff:
         expansions += 1
         if expansions % 1024 == 0 and time.monotonic() - start > budget.wall_timeout:
             timed_out = True
@@ -316,6 +338,7 @@ def _chain_search(task, lib, budget, k, patience):
             # the smallest (key, seq) in the frontier; from here on only
             # children join it
             top_key, top_seq = min(h[:2], f)
+            end = _run_end(logp, seq, logps, rank + 1, n_actions, top_key, top_seq)
         rewrite = rewrites[rank]
         child_eq = None
         if rewrite is not None:
@@ -353,10 +376,10 @@ def _chain_search(task, lib, budget, k, patience):
             if child_eq is None:
                 chain_failed += 1
         if child_eq is not None:
-            if child_eq in visited:
+            if child_eq.is_state:
                 duplicates += 1
             else:
-                visited[child_eq] = True
+                child_eq.is_state = True
                 child = len(eqs)
                 child_logp = logp + logps[rank]
                 eqs.append(child_eq)
@@ -368,6 +391,8 @@ def _chain_search(task, lib, budget, k, patience):
                     found.append((_rebuild_program(child, parents, made_by, actions), child_logp))
                     if first_solution is None:
                         first_solution = expansions
+                    if len(found) >= k:
+                        break
                     if patience is not None:
                         cutoff = min(cutoff, expansions + patience)
                 # expanded keys never decrease, so neither do these: the
@@ -375,14 +400,12 @@ def _chain_search(task, lib, budget, k, patience):
                 key = -(child_logp + logp0)
                 if key < top_key or (key == top_key and child < top_seq):
                     top_key, top_seq = key, child
+                    end = _run_end(logp, seq, logps, rank + 1, end, top_key, top_seq)
         rank += 1
-        if rank == n_actions:
+        if rank == end:
+            if end < n_actions:
+                push(heap, (-(logp + logps[rank]), seq, rank))
             seq = None
-        else:
-            key = -(logp + logps[rank])
-            if key > top_key or (key == top_key and seq > top_seq):
-                push(heap, (key, seq, rank))
-                seq = None
 
     if timed_out:
         stop = "timeout"
@@ -396,7 +419,7 @@ def _chain_search(task, lib, budget, k, patience):
         stop = "budget"
     stats = {
         "expansions": expansions,
-        "states": len(visited),
+        "states": len(eqs),
         "solutions": len(found),
         "skipped": index_skips + shape_skips,
         "index_skips": index_skips,

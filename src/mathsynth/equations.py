@@ -11,9 +11,9 @@ intern table for its length (open_table / close_table); while it is open,
 the trusted constructor _node, used by _splice and by every primitive,
 returns the existing node for an operator and two child objects it has seen
 before, and _const does the same for a constant.  A state the search
-reaches again is then put together from nodes that already exist, and its
-lookup among the visited states is an identity hit.  Equality stays
-structural, for trees built outside a search.
+reaches again is then put together from nodes that already exist, down to
+its root, which the search marks (Node.is_state) when it first makes the
+state.  Equality stays structural, for trees built outside a search.
 
 An open table also carries a memo for the simplify primitive
 (primitives._simp): the normal form of every node simplify has
@@ -100,9 +100,12 @@ ONE = Const(1)
 
 
 class Node:
-    """Binary operator node.  ``size``, ``has_var`` and the hash are cached."""
+    """Binary operator node.  ``size`` and the hash are cached; ``has_var``
+    is computed when read, which only simplify's ``A/A -> 1`` rule does.
+    ``is_state`` is False on every node built; the chain search sets it on
+    the root of each state it makes (see enumerator)."""
 
-    __slots__ = ("op", "left", "right", "size", "has_var", "_hash")
+    __slots__ = ("op", "left", "right", "size", "is_state", "_hash")
 
     def __init__(self, op: str, left: "Expr", right: "Expr"):
         if op not in OPS:
@@ -115,8 +118,12 @@ class Node:
         self.left = left
         self.right = right
         self.size = 1 + left.size + right.size
-        self.has_var = left.has_var or right.has_var
+        self.is_state = False
         self._hash = hash((op, left._hash, right._hash))
+
+    @property
+    def has_var(self) -> bool:
+        return self.left.has_var or self.right.has_var
 
     def __eq__(self, other):
         if self is other:
@@ -193,7 +200,7 @@ def _node(op: str, left: Expr, right: Expr) -> Node:
     n.left = left
     n.right = right
     n.size = 1 + left.size + right.size
-    n.has_var = left.has_var or right.has_var
+    n.is_state = False
     n._hash = h
     if table is not None:
         table[key] = n
@@ -343,7 +350,7 @@ def check_solved(e: Equation) -> Optional[Fraction]:
     or a lowest-terms fraction with denominator >= 2; both orientations
     count.
     """
-    if not is_equation(e):
+    if type(e) is not Node or e.op != "=":
         raise EquationError("expected an '='-rooted tree")
     if type(e.left) is Var:
         return _reduced_value(e.right)

@@ -164,11 +164,23 @@ def _wake(tasks, lib, config: RunConfig):
     if workers <= 1:
         results = [_solve_one(j) for j in jobs]
     else:
+        futures = []
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_solve_one, jobs))
+                for job in jobs:
+                    futures.append(pool.submit(_solve_one, job))
+                results = [future.result() for future in futures]
         except BrokenProcessPool as err:
-            raise TrainingError(f"a wake worker died: {err}") from err
+            # a broken pool fails every search it had not finished and
+            # takes no task after it broke
+            unfinished = [
+                t.id
+                for i, t in enumerate(tasks)
+                if i >= len(futures) or futures[i].exception() is not None
+            ]
+            raise TrainingError(
+                f"a wake worker died with tasks {', '.join(unfinished)} unfinished: {err}"
+            ) from err
     for task_id, _found, stats in results:
         if stats["stop"] == "timeout":
             log.warning(

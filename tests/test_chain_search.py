@@ -32,7 +32,7 @@ from mathsynth.enumerator import (
     _chain_actions,
     solve_task_with_stats,
 )
-from mathsynth.equations import check_solved, parse_prefix
+from mathsynth.equations import check_solved, parse_prefix, render_prefix
 from mathsynth.grammar import CTX_TSTR, VAR, Library, fit_grammar
 from mathsynth.primitives import PrimitiveError, apply_primitive
 from mathsynth.programs import (
@@ -308,9 +308,9 @@ def test_a_state_costs_the_search_at_most_100_bytes(monkeypatch):
     """What the search's own code holds per state, its Node objects aside:
     at the 10,000th state, root included, the bytes allocated in
     enumerator.py and not yet freed.  A state is a slot in each of four
-    per-search columns and an entry of the visited dict, about 67 B.
-    tracemalloc counts requested bytes, so the figure is the same on any
-    host."""
+    per-search columns, about 38 B; duplicates are found by the mark on the
+    state's root node, which takes no bytes of its own.  tracemalloc counts
+    requested bytes, so the figure is the same on any host."""
     made = 0
     snapshot = None
 
@@ -335,7 +335,7 @@ def test_a_state_costs_the_search_at_most_100_bytes(monkeypatch):
     assert stats["states"] > 10_000
     own = snapshot.filter_traces([tracemalloc.Filter(True, mathsynth.enumerator.__file__)])
     held = sum(stat.size for stat in own.statistics("filename"))
-    assert held / 10_000 <= 100
+    assert held / 10_000 <= 50
 
 
 def test_a_search_reports_its_own_wall_time():
@@ -343,6 +343,41 @@ def test_a_search_reports_its_own_wall_time():
         _task("(= (+ x 4) 6)"), Library.initial(), SearchBudget(max_expansions=2_000), k=1
     )
     assert type(stats["seconds"]) is float and stats["seconds"] >= 0
+
+
+def test_a_search_from_another_search_s_state_is_the_search_from_its_copy(monkeypatch):
+    """A state a search made is marked on its root, and stays marked when
+    the search ends.  A second search from it rebuilds it in a fresh table,
+    so it searches as it would from a freshly parsed copy."""
+    made = []
+
+    def spy(e):
+        made.append(e)
+        return check_solved(e)
+
+    monkeypatch.setattr(mathsynth.enumerator, "check_solved", spy)
+    lib = Library.initial()
+    task = _task("(= x (/ 6 2))")
+    solve_task_with_stats(task, lib, SearchBudget(max_expansions=3_000), k=100)
+    state = made[5]  # a state the search made, not its root
+    assert state.is_state
+    searched = []
+    for eq in (state, parse_prefix(render_prefix(state))):
+        # a rewrite keeps the solution, so the state's goal is the task's
+        found, stats = solve_task_with_stats(
+            Task("t", "t", eq, task.goal), lib, SearchBudget(max_expansions=20_000), k=3
+        )
+        del stats["seconds"]
+        searched.append(([(render_program(p), lp) for p, lp in found], stats))
+    assert searched[0] == searched[1]
+    assert searched[0][0] and searched[0][1]["states"] > 1_000
+
+
+@pytest.mark.parametrize("prefix, k", [("(= (+ x 4) 6)", 0), ("(= x 4)", 1)])
+def test_a_search_with_k_programs_at_its_root_expands_nothing(prefix, k):
+    found, stats = solve_task_with_stats(_task(prefix), Library.initial(), SearchBudget(), k=k)
+    assert len(found) == k
+    assert (stats["expansions"], stats["states"], stats["stop"]) == (0, 1, "k")
 
 
 def _closed():

@@ -343,7 +343,8 @@ def test_a_task_id_that_names_two_tasks_is_an_error(tmp_path, capsys):
 
 def test_a_wake_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
     """A worker that exits mid-search breaks the process pool; train says
-    so on an error line, not in a traceback."""
+    so on an error line, not in a traceback, and names the tasks it left
+    unfinished."""
     parent = os.getpid()
 
     def exits(*args, **kwargs):
@@ -359,6 +360,7 @@ def test_a_wake_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "a wake worker died" in err
+    assert "t/3" in err and "t/4" in err  # every search exits, so none finished
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,22 @@ def test_without_a_table_equal_trees_stay_distinct_objects():
     assert a is not b and a == b and hash(a) == hash(Node("+", X, Const(1)))
 
 
+def test_a_node_is_built_unmarked():
+    """No node is a search state until a search marks it: not one from
+    Node, parse_prefix or _node, nor one interned from a marked tree."""
+    e = parse_prefix("(= (+ (* 2 x) 1) 7)")
+    built = [Node("=", X, ONE), _node("+", X, ONE)]
+    assert not any(t.is_state for t in subtrees(e) + built if type(t) is Node)
+    e.is_state = True
+    previous = open_table()
+    try:
+        a = intern(e)
+        assert a is not e and not any(t.is_state for t in subtrees(a) if type(t) is Node)
+        assert not _splice(a, 2, ONE).is_state
+    finally:
+        close_table(previous)
+
+
 def test_nodes_whose_hashes_collide_are_each_interned():
     previous = open_table()
     try:
