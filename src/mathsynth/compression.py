@@ -254,73 +254,69 @@ def best_pattern(
             if max_pattern_nodes is None or _node_count(prog) <= max_pattern_nodes:
                 consider(Pattern(prog, 0))
 
-    # fragment patterns, grown top-down from a typed root hole; a program's
-    # own lambda has an arrow type, so no root type admits it
-    all_sites = []
-    for pi, (_, prog) in enumerate(corpus):
-        for s in subtrees(prog):
-            all_sites.append((pi, s))
-
-    for root_type in (TSTR, TINT):
-        sites = [
-            (pi, s, program_cost(s)) for pi, s in all_sites if type_of(s) == root_type
-        ]
-        if not sites:
+    # fragment patterns, grown top-down from an equation-typed root hole: an
+    # integer site is a bare literal, which no pattern with a hole matches,
+    # and a program's own lambda has an arrow type
+    sites = [
+        (pi, s, program_cost(s))
+        for pi, (_, prog) in enumerate(corpus)
+        for s in subtrees(prog)
+        if type_of(s) == TSTR
+    ]
+    # state: the pattern's pre-order pieces so far, the types of its open
+    # holes (leftmost first), its concrete cost, node count and number of
+    # argument holes, and per match the program, the site's cost and the
+    # subtrees that the open holes stand for
+    stack = [((), (TSTR,), 0, 1, 0, [(pi, c, (s,)) for pi, s, c in sites])]
+    while stack:
+        pieces, hole_types, cc, nodes, n_args, matches = stack.pop()
+        if not matches:
             continue
-        # state: the pattern's pre-order pieces so far, the types of its open
-        # holes (leftmost first), its concrete cost, node count and number of
-        # argument holes, and per match the program, the site's cost and the
-        # subtrees that the open holes stand for
-        stack = [((), (root_type,), 0, 1, 0, [(pi, c, (s,)) for pi, s, c in sites])]
-        while stack:
-            pieces, hole_types, cc, nodes, n_args, matches = stack.pop()
-            if not matches:
+        if not hole_types:
+            if n_args:
+                consider(Pattern(_build(pieces), n_args))
+            continue
+        # admissible bound: every remaining hole resolves for free
+        per_prog: dict = {}
+        for pi, site_cost, _ in matches:
+            per_prog[pi] = max(per_prog.get(pi, 0), site_cost - 100)
+        bound = sum(v for v in per_prog.values() if v > 0) - cc
+        if best_u is not None and bound < best_u:
+            continue
+        ht = hole_types[0]
+        rest = hole_types[1:]
+        # choice 1: make this hole an argument; a bare hole at the root
+        # would hold no Prim or AbsRef, so it is no candidate
+        if pieces and n_args < max_arity:
+            new_matches = [(pi, sc, pending[1:]) for pi, sc, pending in matches]
+            stack.append(
+                (pieces + (_PHole(n_args, ht),), rest, cc, nodes, n_args + 1,
+                 new_matches)
+            )
+        # choice 2: expand to a concrete head drawn from the match sites
+        heads: dict = {}
+        for pi, sc, pending in matches:
+            head, args = spine(pending[0])
+            th = type(head)
+            if th is VarRef or th is Lambda:
+                continue  # a bare variable cannot be extracted
+            key = render_program(head) + f"/{len(args)}"
+            heads.setdefault(key, (head, len(args), []))[2].append(
+                (pi, sc, tuple(args) + pending[1:])
+            )
+        for key in sorted(heads):
+            head, n_head_args, new_matches = heads[key]
+            arg_types = split_type(type_of(head))[0]
+            if len(arg_types) < n_head_args:
                 continue
-            if not hole_types:
-                if n_args:
-                    consider(Pattern(_build(pieces), n_args))
+            # the head takes the hole's place and adds n applications and n holes
+            new_nodes = nodes + 2 * n_head_args
+            if max_pattern_nodes is not None and new_nodes > max_pattern_nodes:
                 continue
-            # admissible bound: every remaining hole resolves for free
-            per_prog: dict = {}
-            for pi, site_cost, _ in matches:
-                per_prog[pi] = max(per_prog.get(pi, 0), site_cost - 100)
-            bound = sum(v for v in per_prog.values() if v > 0) - cc
-            if best_u is not None and bound < best_u:
-                continue
-            ht = hole_types[0]
-            rest = hole_types[1:]
-            # choice 1: make this hole an argument; a bare hole at the root
-            # would hold no Prim or AbsRef, so it is no candidate
-            if pieces and n_args < max_arity:
-                new_matches = [(pi, sc, pending[1:]) for pi, sc, pending in matches]
-                stack.append(
-                    (pieces + (_PHole(n_args, ht),), rest, cc, nodes, n_args + 1,
-                     new_matches)
-                )
-            # choice 2: expand to a concrete head drawn from the match sites
-            heads: dict = {}
-            for pi, sc, pending in matches:
-                head, args = spine(pending[0])
-                th = type(head)
-                if th is VarRef or th is Lambda:
-                    continue  # a bare variable cannot be extracted
-                key = render_program(head) + f"/{len(args)}"
-                heads.setdefault(key, (head, len(args), []))[2].append(
-                    (pi, sc, tuple(args) + pending[1:])
-                )
-            for key in sorted(heads):
-                head, n_head_args, new_matches = heads[key]
-                arg_types = split_type(type_of(head))[0]
-                if len(arg_types) < n_head_args:
-                    continue
-                # the head takes the hole's place and adds n applications and n holes
-                new_nodes = nodes + 2 * n_head_args
-                if max_pattern_nodes is not None and new_nodes > max_pattern_nodes:
-                    continue
-                stack.append(
-                    (pieces + ((head, n_head_args),), arg_types[:n_head_args] + rest,
-                     cc + 100 + n_head_args, new_nodes, n_args, new_matches)
-                )
+            stack.append(
+                (pieces + ((head, n_head_args),), arg_types[:n_head_args] + rest,
+                 cc + 100 + n_head_args, new_nodes, n_args, new_matches)
+            )
 
     return best, (best_u if best_u is not None else 0), scored
 

@@ -3,11 +3,11 @@
 solve_task exploits the shape of equation-valued programs: every one is a
 chain prim(...(prim($0, i1), ...), ik), so program search is a best-first
 walk over equation states with one action per (production, literal
-arguments) pair.  Integer arguments come from the literals 0..10; the
-search never builds a newConstGen composite.  States are created in
-non-increasing log-prior order and deduplicated, keeping the first (best
-priority) program per state, so a fixed library and budget always give the
-same search.
+arguments) pair.  Integer arguments are the literals 0..10, since no
+production returns an integer.  States are created in non-increasing
+log-prior order and deduplicated, keeping the first (best priority)
+program per state, so a fixed library and budget always give the same
+search.
 
 A state is its creation number, seq: the root is 0 and each new state
 takes the next.  The search keeps four flat columns indexed by seq: the

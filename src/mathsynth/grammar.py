@@ -7,12 +7,9 @@ each hole context has one table, keyed by head term, that maps every head
 allowed there to its normalized log probability and the contexts of its
 arguments, so Eq-style priors are products of per-choice probabilities.
 
-Three contexts exist: equation-valued holes (the bound equation variable
-$0, equation primitives, equation-valued abstractions), integer-valued holes
-(the literals 0..10, newConstGen, integer-valued abstractions) and the
-arguments of integer producers, which are restricted to bare literals so
-integer subterms never nest past one application (values stay within
-0..110).
+Two contexts exist: equation-valued holes (the bound equation variable $0,
+the primitives and the abstractions, every one of which returns an
+equation) and integer-valued holes, which hold the literals 0..10 alone.
 
 fit_grammar counts production uses in a program corpus and sets weight =
 count + 1 (Laplace smoothing), so a production used 9 times ends up 10x the
@@ -49,7 +46,6 @@ from .programs import (
 
 CTX_TSTR = "tstr"
 CTX_TINT = "tint"
-CTX_TINT_INNER = "tint_inner"
 
 VAR = VarRef(0)  # the bound equation variable, the head that takes no arguments
 
@@ -111,17 +107,9 @@ class Library:
     def _build_tables(self) -> dict:
         # entry = (head, log_weight, arg_ctxs)
         tstr_entries = [(VAR, self.var_log_weight, ())]
-        tint_entries = [(IntLit(v), 0.0, ()) for v in LITERAL_RANGE]
-        inner_entries = list(tint_entries)
         for p in self.productions:
-            arg_types, result_type = split_type(p.type)
-            if result_type == TSTR:
-                entries, int_ctx = tstr_entries, CTX_TINT
-            else:
-                # integer producers take only literal arguments
-                entries, int_ctx = tint_entries, CTX_TINT_INNER
-            ctxs = tuple(CTX_TSTR if a == TSTR else int_ctx for a in arg_types)
-            entries.append((p.head, p.log_weight, ctxs))
+            ctxs = tuple(CTX_TSTR if a == TSTR else CTX_TINT for a in split_type(p.type)[0])
+            tstr_entries.append((p.head, p.log_weight, ctxs))
 
         def normalize(entries):
             try:
@@ -137,8 +125,7 @@ class Library:
 
         return {
             CTX_TSTR: normalize(tstr_entries),
-            CTX_TINT: normalize(tint_entries),
-            CTX_TINT_INNER: normalize(inner_entries),
+            CTX_TINT: normalize([(IntLit(v), 0.0, ()) for v in LITERAL_RANGE]),
         }
 
     def table(self, ctx: str) -> dict:
@@ -155,14 +142,13 @@ class Library:
 
         A tstr -> tstr program is a lambda whose body is scored in the
         equation context; a bare library call stands for its one-step
-        chain (lambda (fn $0)); any other bare term is scored as an
-        integer expression.
+        chain (lambda (fn $0)); GrammarError for any other bare term.
         """
         if type(p) is Lambda:
             return self._score(p.body, CTX_TSTR)
         if type(p) is AbsRef and p.abstraction.type == arrow(TSTR, TSTR):
             return self._score(Apply(p, VAR), CTX_TSTR)
-        return self._score(p, CTX_TINT)
+        raise GrammarError(f"{render_program(p)} is no tstr -> tstr program")
 
     def _score(self, term: Term, ctx: str) -> float:
         head, args = spine(term)

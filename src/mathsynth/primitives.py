@@ -1,7 +1,7 @@
 """Equation-rewriting primitives.
 
-Every equation-valued primitive takes an equation and a pre-order subtree
-index and returns a new equation.  Transformations are pure; where a
+Every primitive takes an equation and a pre-order subtree index and
+returns a new equation.  Transformations are pure; where a
 primitive does not apply it raises PrimitiveError rather than returning a
 sentinel.
 
@@ -89,11 +89,6 @@ def _any_subtree(y: Expr) -> bool:
 def _both_sides(op: str):
     """(= L R) -> (= (op L y) (op R y)) for y the subtree at i."""
     return lambda e, i, y: _node("=", _node(op, e.left, y), _node(op, e.right, y))
-
-
-def new_const_gen(a: int, b: int, c: int) -> int:
-    """Integer composition a*b + c; widens the reachable index range."""
-    return a * b + c
 
 
 # --- rotations --------------------------------------------------------------

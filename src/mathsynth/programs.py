@@ -8,25 +8,22 @@ inline form is the canonical serialization: it is self-contained, so parsing
 it never needs a library.
 
 Types are simple: ``tstr`` (an equation), ``tint`` (an integer) and arrows.
-Every equation-valued primitive has type ``tstr -> tint -> tstr`` with the
-equation first.
+Every primitive has type ``tstr -> tint -> tstr`` with the equation first.
 
 A program is a chain: a variable, a literal, or a call of a primitive or an
 abstraction on exactly as many arguments as its type takes, each a chain of
 the type its position takes.  An argument in equation position is tstr; an
-index argument is tint: a literal, a parameter, newConstGen or a call of an
-integer-valued chain.  infer_type reads a chain's type off these positions.
-An abstraction body is leading lambdas over a chain that uses every
-parameter, an equation parameter once.  Every equation-taking head takes one
-equation and every integer-valued one takes none, so a body that returns an
-equation takes exactly one, as its first parameter, and each equation it
-makes feeds the next step, and a body that returns an integer takes none.
-The Abstraction constructor raises ProgramError for any other body: an inner
-lambda, a partial application, a function-valued argument, an unused
-parameter, an equation used twice, or an equation parameter that is not the
-first, which no chain search step could call.  A top-level program is
-``(lambda $0)``, a lambda over a chain on ``$0``, or a bare tstr -> tstr
-abstraction reference, the eta-reduced form training stores.
+index argument is tint: a literal or a parameter.  infer_type reads a
+chain's type off these positions.  An abstraction body is leading lambdas
+over a chain that uses every parameter, an equation parameter once.  Every
+head takes one equation and returns one, so a body takes exactly one
+equation, as its first parameter, and each equation it makes feeds the
+next step.  The Abstraction constructor raises ProgramError for any other
+body: an inner lambda, a partial application, a function-valued argument,
+an unused parameter, an equation used twice, or an equation parameter that
+is not the first, which no chain search step could call.  A top-level
+program is ``(lambda $0)``, a lambda over a chain on ``$0``, or a bare
+tstr -> tstr abstraction reference, the eta-reduced form training stores.
 
 There is one runner.  unrolled_steps turns a call of an abstraction into the
 (primitive name, index) steps it makes.  evaluate splits a program into its
@@ -52,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .equations import MAX_NESTING, Equation, _too_deep, is_equation, render_prefix
-from .primitives import EQUATION_PRIMITIVES, PrimitiveError, apply_primitive, new_const_gen
+from .primitives import EQUATION_PRIMITIVES, PrimitiveError, apply_primitive
 
 TSTR = "tstr"
 TINT = "tint"
@@ -91,21 +88,13 @@ def split_type(t) -> tuple:
 
 
 def render_type(t) -> str:
-    """``tstr -> tint -> tstr``; a type variable, an int during inference,
-    renders as ``t<n>``."""
-    if type(t) is int:
-        return f"t{t}"
-    if not is_arrow(t):
-        return t
-    lhs = render_type(t[1])
-    if is_arrow(t[1]):
-        lhs = f"({lhs})"
-    return f"{lhs} -> {render_type(t[2])}"
+    """``tstr -> tint -> tstr``."""
+    args, result = split_type(t)
+    return " -> ".join((*args, result))
 
 
 EQ_PRIM_TYPE = arrow(TSTR, TINT, TSTR)
 PRIM_TYPES = {name: EQ_PRIM_TYPE for name in EQUATION_PRIMITIVES}
-PRIM_TYPES["newConstGen"] = arrow(TINT, TINT, TINT, TINT)
 
 LITERAL_RANGE = range(0, 11)  # the integer literals a program may contain
 
@@ -152,8 +141,7 @@ class Abstraction:
         if type(body) is not Lambda:
             raise ProgramError("an abstraction body must start with a lambda")
         self.type = infer_type(body)
-        params, result = split_type(self.type)
-        if result == TSTR and params[0] != TSTR:
+        if split_type(self.type)[0][0] != TSTR:
             raise ProgramError(
                 f"an abstraction of type {render_type(self.type)} does not take"
                 " its equation first"
@@ -481,9 +469,8 @@ def unrolled_steps(a: Abstraction, ints: tuple, memo: Optional[dict] = None) -> 
 
 
 def _unrolled_call(a: Abstraction, args: tuple, memo: dict):
-    """(calls, value) of the call of ``a`` on ``args``; the equation
-    argument, if any, is () and an equation value is the tuple of steps
-    that made it from there."""
+    """(calls, steps) of the call of ``a`` on ``args``, whose equation
+    argument is (); steps are those that make its value from there."""
     key = (a, args)
     if key not in memo:
         try:
@@ -519,19 +506,15 @@ def _unroll_term(term, env: tuple, memo: dict, calls: list):
 
 
 def _unroll_call(head, values: list, memo: dict, calls: list):
-    """The value of ``head`` called on ``values``, in call order; adds its
-    abstraction calls to calls[0]."""
+    """The steps of ``head`` called on ``values``, in call order, the
+    equation's steps first; adds its abstraction calls to calls[0]."""
     if type(head) is Prim:
-        if head.name == "newConstGen":
-            return new_const_gen(*values)
         return values[0] + ((head.name, values[1]),)
-    eq = values[0] if type(values[0]) is tuple else ()
-    found = _unrolled_call(head.abstraction, tuple(() if v is eq else v for v in values), memo)
+    found = _unrolled_call(head.abstraction, ((), *values[1:]), memo)
     calls[0] += found[0]
     if calls[0] > _STEP_LIMIT:
         raise EvalError("evaluation step limit exceeded")
-    value = found[1]
-    return eq + value if type(value) is tuple else value
+    return values[0] + found[1]
 
 
 def _top_level_calls(p: Term, memo: dict) -> list:
@@ -543,13 +526,8 @@ def _top_level_calls(p: Term, memo: dict) -> list:
     term = p.body
     while type(term) is Apply:
         head, args = spine(term)
-        types = split_type(infer_type(head))[0]
-        count = [0]
-        values = [
-            () if t == TSTR else _unroll_term(arg, (), memo, count)
-            for arg, t in zip(args, types)
-        ]
-        calls.append(_unroll_call(head, values, memo, count))
+        ints = [arg.value for arg in args[1:]]  # a top-level index is a literal
+        calls.append(_unroll_call(head, [(), *ints], memo, [0]))
         term = args[0]
     return calls[::-1]
 
@@ -572,13 +550,9 @@ def _run(calls, e: Equation, states: Optional[list] = None) -> Equation:
 def apply_abstraction(a: Abstraction, args: tuple):
     """Run an abstraction on exactly ``a.arity`` evaluated argument values,
     in call order, as one top-level call."""
-    types = split_type(a.type)[0]
-    if len(args) != len(types):
-        raise EvalError(f"{a!r} takes {len(types)} arguments, not {len(args)}")
-    value = _unrolled_call(a, tuple(() if t == TSTR else v for v, t in zip(args, types)), {})[1]
-    if type(value) is not tuple:
-        return value  # an integer-valued abstraction
-    return _run((value,), args[0])
+    if len(args) != a.arity:
+        raise EvalError(f"{a!r} takes {a.arity} arguments, not {len(args)}")
+    return _run((_unrolled_call(a, ((), *args[1:]), {})[1],), args[0])
 
 
 def evaluate(p: Term, input_equation: Equation, trace: bool = False):

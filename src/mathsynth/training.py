@@ -18,8 +18,7 @@ import logging
 import os
 import random
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -157,6 +156,14 @@ def _solve_one(args):
     return task.id, found, stats
 
 
+def _start_pool(workers: int):
+    """A process pool of ``workers``.  Its module is imported here, not at
+    load, since only a wake with two workers or more starts one."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _wake(tasks, lib, config: RunConfig):
     jobs = [(t, lib, config.budget, config.k_programs, config.patience) for t in tasks]
     # a pool costs more to start than it saves on a single task
@@ -166,11 +173,11 @@ def _wake(tasks, lib, config: RunConfig):
     else:
         futures = []
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _start_pool(workers) as pool:
                 for job in jobs:
                     futures.append(pool.submit(_solve_one, job))
                 results = [future.result() for future in futures]
-        except BrokenProcessPool as err:
+        except BrokenExecutor as err:
             # a broken pool fails every search it had not finished and
             # takes no task after it broke
             unfinished = [

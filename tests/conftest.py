@@ -73,9 +73,9 @@ HAND_WRITTEN_ABSTRACTIONS = [Abstraction(parse_program(text)) for text in HAND_W
 NOT_CHAINS = {
     "inner-lambda": "(lambda ((lambda (swap $0 1)) $0))",
     "inner-lambda-argument": "(lambda ((lambda (sub (swap $0 1) 2)) (swap $0 1)))",
-    "lambda-taking-a-function": "(lambda ((lambda ($0 (newConstGen 0 5 1))) (swap $0)))",
+    "lambda-taking-a-function": "(lambda ((lambda ($0 1)) (swap $0)))",
     "partial-application": "(lambda (sub (swap $0) 1))",
-    "function-argument": "(lambda (swap $0 newConstGen))",
+    "function-argument": "(lambda (swap $0 simplify))",
     "higher-order": "(lambda (lambda ($1 ($1 $0))))",
     "unused-parameter": "(lambda (lambda (sub $1 1)))",
     "equation-reused": "(lambda (sub $0 $0))",

@@ -25,7 +25,7 @@ from mathsynth.compression import (
 )
 from mathsynth.enumerator import Task
 from mathsynth.equations import Node, eval_at
-from mathsynth.primitives import EQUATION_PRIMITIVES, PrimitiveError, new_const_gen
+from mathsynth.primitives import EQUATION_PRIMITIVES, PrimitiveError
 from mathsynth.programs import (
     AbsRef,
     Apply,
@@ -136,7 +136,7 @@ def interpreted(a, args: tuple):
 def reference_eval(term, env: tuple, calls: list):
     """A call-by-value walk over the term itself; nothing in it is
     compiled or unrolled.  A function value is a tuple: ("closure", body,
-    env) or ("prim", name, arity, arguments so far).  calls[0] counts the
+    env) or ("prim", name, arguments so far).  calls[0] counts the
     abstraction calls made so far."""
     tt = type(term)
     if tt is IntLit:
@@ -144,7 +144,7 @@ def reference_eval(term, env: tuple, calls: list):
     if tt is VarRef:
         return env[term.index]
     if tt is Prim:
-        return ("prim", term.name, 3 if term.name == "newConstGen" else 2, ())
+        return ("prim", term.name, ())
     if tt is AbsRef:
         calls[0] += 1
         if calls[0] > mathsynth.programs._STEP_LIMIT:
@@ -161,12 +161,10 @@ def reference_apply(fn, arg, calls: list):
         raise EvalError("not a function")
     if fn[0] == "closure":
         return reference_eval(fn[1], (arg,) + fn[2], calls)
-    _, name, arity, got = fn
+    _, name, got = fn
     got += (arg,)
-    if len(got) < arity:
-        return ("prim", name, arity, got)
-    if name == "newConstGen":
-        return new_const_gen(*got)
+    if len(got) < 2:  # a primitive takes an equation and an index
+        return ("prim", name, got)
     if type(got[0]) is not Node or got[0].op != "=":
         raise EvalError("not an equation")
     try:

@@ -163,7 +163,8 @@ def _same_search(task, lib, budget, k, patience=None):
 
 def _skewed_library():
     """Fitted hard toward one primitive chain, with learned abstractions of
-    arity 1, 2 and 3, so actions differ in log probability and arity."""
+    arity 1, 2 and 3, so actions differ in log probability and arity; dist,
+    fitted a little, fails its rewrite where no factor is shared."""
     lib = Library.initial()
     lib.add_abstraction(parse_program("(lambda (simplify (rrotate (sub $0 3) 1) 0))"))
     lib.add_abstraction(parse_program("(lambda (lambda (simplify (swap $1 $0) 0)))"))
@@ -171,7 +172,12 @@ def _skewed_library():
         parse_program("(lambda (lambda (lambda (simplify (rrotate (div $2 $1) 1) $0))))")
     )
     chain = parse_program("(lambda (simplify (rrotate (div (swap $0 1) 3) 1) 0))")
-    return fit_grammar(lib, [chain] * 30 + [parse_program("(lambda (sub $0 2))")])
+    return fit_grammar(lib, [chain] * 30 + [parse_program("(lambda (dist (sub $0 2) 1))")])
+
+
+def test_every_initial_production_makes_an_action():
+    lib = Library.initial()
+    assert {a.head for a in _chain_actions(lib)} == {p.head for p in lib.productions}
 
 
 def test_initial_library_matches_single_heap():
@@ -221,16 +227,16 @@ _CALL_TASKS = ("(= (* 3 x) 6)", "(= (+ x 3) 5)", "(= x (/ 6 2))")
 
 def _unrolled_library():
     """Abstractions the search unrolls into rule steps: a call nested two
-    deep, an index computed by newConstGen, three arguments; fitted toward
+    deep, an index given by a parameter, three arguments; fitted toward
     calls of each."""
     lib = Library.initial()
     for text in (
         "(lambda (#(lambda (#(lambda (simplify (rrotate $0 1) 0)) (sub $0 3))) (swap $0 1)))",
-        "(lambda (lambda (simplify (rrotate (sub $1 (newConstGen $0 1 1)) 1) 0)))",
+        "(lambda (lambda (simplify (rrotate (sub $1 $0) 1) 0)))",
         "(lambda (lambda (lambda (#(lambda (lambda (simplify (rrotate $1 $0) 0))) (div $2 $1) $0))))",
     ):
         lib.add_abstraction(parse_program(text))
-    calls = ["(lambda (fn_0 $0))", "(lambda (fn_1 $0 2))", "(lambda (fn_2 $0 3 1))"]
+    calls = ["(lambda (fn_0 $0))", "(lambda (fn_1 $0 3))", "(lambda (fn_2 $0 3 1))"]
     return fit_grammar(lib, [parse_program(c, lib) for c in calls] * 3)
 
 

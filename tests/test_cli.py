@@ -20,7 +20,7 @@ from mathsynth.corpus import (
 )
 from mathsynth.enumerator import Task
 from mathsynth.equations import parse_prefix
-from mathsynth.grammar import Library, fit_grammar
+from mathsynth.grammar import GrammarError, Library, fit_grammar
 from mathsynth.programs import parse_program
 
 CHAIN = "(lambda (simplify (rrotate (sub $0 3) 1) 0))"
@@ -318,6 +318,23 @@ def test_malformed_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys, chec
     rc = main(["library", "--checkpoint", str(path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_checkpoint_that_lists_newconstgen_is_refused(tmp_path, capsys):
+    """Checkpoints once listed an integer producer, newConstGen, among the
+    primitives; the DSL has none now, so such a checkpoint does not load."""
+    doc = Library.initial().to_dict()
+    doc["productions"].append({"kind": "primitive", "name": "newConstGen",
+                               "type": "tint -> tint -> tint -> tint", "log_weight": 0.0})
+    path = tmp_path / "library.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GrammarError, match="unknown primitive 'newConstGen' in checkpoint"):
+        load_checkpoint(str(path))
+    tasks = tmp_path / "tasks.jsonl"
+    save_tasks(str(tasks), [Task("t/0", "t", parse_prefix("(= (+ x 2) 9)"), Fraction(7))])
+    rc = main(["solve", "--tasks", str(tasks), "--library", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown primitive 'newConstGen' in checkpoint\n"
 
 
 def test_task_line_that_is_not_an_object_is_an_error(tmp_path, capsys):

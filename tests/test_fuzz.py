@@ -30,7 +30,6 @@ from mathsynth.programs import (
     TINT,
     TSTR,
     ProgramError,
-    apply_abstraction,
     evaluate,
     infer_type,
     parse_program,
@@ -56,7 +55,7 @@ INFIX_TEXT = st.one_of(
 PROGRAM_TEXT = st.one_of(
     st.text(),
     _token_text(
-        ["(", ")", "lambda", "#(", "$0", "$1", "sub", "swap", "newConstGen",
+        ["(", ")", "lambda", "#(", "$0", "$1", "sub", "swap", "simplify",
          "0", "3", "10", "11", "-1", "fn_0"]
     ),
 )
@@ -194,7 +193,7 @@ def test_checkpoint_loading_raises_only_grammar_or_program_errors(doc):
 # number of arguments, variables and literals, so that some of it parses
 # and is a chain, and more of it parses and is not
 TERM_TEXT = st.recursive(
-    st.sampled_from(["$0", "$1", "0", "3", "10", "sub", "swap", "newConstGen", "fn_0"]),
+    st.sampled_from(["$0", "$1", "0", "3", "10", "sub", "swap", "simplify", "fn_0"]),
     lambda inner: st.builds("(lambda {})".format, inner)
     | st.lists(inner, min_size=2, max_size=4).map(lambda ts: f"({' '.join(ts)})"),
     max_leaves=10,
@@ -204,7 +203,7 @@ TERM_TEXT = st.recursive(
 @settings(max_examples=300)
 @given(st.one_of(PROGRAM_TEXT, TERM_TEXT.map("(lambda {})".format)))
 @example("(lambda (fn_0 (sub $0 3)))")
-@example("(lambda (lambda (swap $1 (newConstGen $0 3 0))))")
+@example("(lambda (lambda (swap (fn_0 $1) $0)))")
 @example("(lambda (lambda (lambda ($2 $1 $0))))")
 def test_a_checkpoint_abstraction_loads_only_as_a_chain(text):
     """Loading raises only GrammarError or ProgramError, and every
@@ -223,13 +222,9 @@ def test_a_checkpoint_abstraction_loads_only_as_a_chain(text):
         return
     for a in lib.abstractions():
         types, result = split_type(a.type)
-        assert set(types) <= {TSTR, TINT} and types.count(TSTR) == (result == TSTR)
-        ints = (2,) * types.count(TINT)
-        if result == TSTR:
-            steps = unrolled_steps(a, ints)
-            assert all(type(name) is str and type(i) is int for name, i in steps)
-        else:
-            assert type(apply_abstraction(a, ints)) is int
+        assert result == TSTR and types[0] == TSTR and set(types[1:]) <= {TINT}
+        steps = unrolled_steps(a, (2,) * (len(types) - 1))
+        assert all(type(name) is str and type(i) is int for name, i in steps)
 
 
 def _task_records():

@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from mathsynth.grammar import GrammarError, Library, fit_grammar
+from mathsynth.grammar import CTX_TINT, GrammarError, Library, fit_grammar
 from mathsynth.programs import (
     Abstraction,
     AbsRef,
     Apply,
+    IntLit,
     Lambda,
     VarRef,
     parse_program,
@@ -96,6 +97,13 @@ def test_fitted_weights_sharpen_the_prior():
     assert lib.log_prior(p) > Library.initial().log_prior(p)
 
 
+def test_a_fitted_library_takes_indices_from_the_literals_alone():
+    lib = Library.initial()
+    lib.add_abstraction(parse_program("(lambda (lambda (simplify (swap $1 $0) 0)))"))
+    fitted = fit_grammar(lib, [parse_program("(lambda (fn_0 (sub $0 3) 1))", lib)] * 4)
+    assert fitted.table(CTX_TINT) == {IntLit(v): (-math.log(11), ()) for v in range(11)}
+
+
 def test_serialization_round_trip():
     lib = Library.initial()
     lib.add_abstraction(parse_program("(lambda (simplify (rrotate $0 1) 0))"))
@@ -139,8 +147,9 @@ def test_fit_counts_equal_bodied_abstractions_as_one_production():
         "(lambda (swap $0))",
         "(lambda (swap $0 0 1))",
         "(lambda (#(lambda (sub $0 5)) $0))",
+        "3",
     ],
-    ids=["lambda-head", "too-few-args", "too-many-args", "unknown-abstraction"],
+    ids=["lambda-head", "too-few-args", "too-many-args", "unknown-abstraction", "bare-integer"],
 )
 def test_log_prior_rejects_a_program_the_library_cannot_produce(text):
     with pytest.raises(GrammarError):

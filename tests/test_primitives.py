@@ -27,7 +27,6 @@ from mathsynth.primitives import (
     RULES,
     PrimitiveError,
     apply_primitive,
-    new_const_gen,
 )
 
 from conftest import equations, safe_sample_points, truth_set
@@ -50,12 +49,6 @@ def test_arithmetic_applies_subtree_copy_to_both_sides():
 def test_arithmetic_rejects_equation_operand():
     with pytest.raises(PrimitiveError):
         apply_primitive("add", P("(= x 0)"), 0)
-
-
-def test_new_const_gen():
-    assert new_const_gen(3, 4, 5) == 17
-    assert new_const_gen(10, 10, 10) == 110
-    assert new_const_gen(0, 7, 0) == 0
 
 
 def test_rotations():

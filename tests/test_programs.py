@@ -60,9 +60,8 @@ def test_names_resolve_to_abstraction_names_only():
         parse_program("(lambda (__bodies__ $0))", [a])
 
 
-def test_render_type_names_type_variables():
+def test_render_type_joins_argument_and_result_types():
     assert render_type(arrow(TSTR, TINT, TSTR)) == "tstr -> tint -> tstr"
-    assert render_type(arrow(arrow(TSTR, 2), 1)) == "(tstr -> t2) -> t1"
 
 
 def test_split_type_separates_argument_types_from_the_result():
@@ -74,7 +73,7 @@ def test_split_type_separates_argument_types_from_the_result():
 
 def test_typecheck_examples():
     assert infer_type(parse_program("(lambda (sub $0 5))")) == arrow(TSTR, TSTR)
-    assert infer_type(parse_program("(newConstGen 3 4 5)")) == TINT
+    assert infer_type(parse_program("(lambda (lambda (sub $1 $0)))")) == arrow(TSTR, TINT, TSTR)
     with pytest.raises(ProgramError):
         infer_type(Apply(Apply(Prim("sub"), IntLit(5)), Lambda(VarRef(0))))
 
@@ -171,9 +170,9 @@ def test_inlining_absref_preserves_evaluation():
 
 @given(st.integers(0, 10), st.integers(0, 10))
 def test_int_literals_render_and_cost(a, b):
-    p = parse_program(f"(newConstGen {a} {b} 0)")
-    assert program_cost(p) == 403
-    assert render_program(p) == f"(newConstGen {a} {b} 0)"
+    p = parse_program(f"(lambda (swap (sub $0 {a}) {b}))")
+    assert program_cost(p) == 505
+    assert render_program(p) == f"(lambda (swap (sub $0 {a}) {b}))"
 
 
 SWAPPED = ["(= (+ x 2) 9)", "(= (+ 2 x) 9)"]
@@ -184,9 +183,10 @@ SWAPPED = ["(= (+ x 2) 9)", "(= (+ 2 x) 9)"]
     [
         # the eta-reduced form training stores: a bare reference
         (AbsRef(Abstraction(parse_program("(lambda (swap $0 1))"))), SWAPPED),
-        (parse_program("(lambda (swap $0 (newConstGen 1 1 0)))"), SWAPPED),
+        (parse_program("(lambda (#(lambda (lambda (#(lambda (lambda (swap $1 $0))) $1 $0))) $0 1))"),
+         SWAPPED),
     ],
-    ids=["bare-absref", "int-subterm"],
+    ids=["bare-absref", "int-argument"],
 )
 def test_traced_states_through_generic_applications(program, states):
     e = parse_prefix("(= (+ x 2) 9)")
@@ -215,8 +215,7 @@ def test_partial_applications_take_arguments_in_call_order():
     e = parse_prefix("(= (+ x 2) 9)")
     with pytest.raises(EvalError, match="swap takes 2 arguments, not 1"):
         evaluate(parse_program(NOT_CHAINS["partial-application"]), e)
-    # newConstGen 0 5 1 is 0 * 5 + 1
-    p = parse_program("(lambda (#(lambda (lambda (swap $1 $0))) $0 (newConstGen 0 5 1)))")
+    p = parse_program("(lambda (#(lambda (lambda (swap $1 $0))) $0 1))")
     assert split_type(p.body.fn.fn.abstraction.type)[0] == (TSTR, TINT)
     assert evaluate(p, e, trace=True)[1] == [e, parse_prefix("(= (+ 2 x) 9)")]
 
@@ -240,8 +239,6 @@ def test_an_abstraction_that_takes_its_equation_later_is_refused():
     with pytest.raises(ProgramError, match="equation first"):
         lib.add_abstraction(parse_program(text))
     assert lib.abstractions() == []
-    # an integer-valued body takes no equation at all
-    assert Abstraction(parse_program("(lambda (lambda (newConstGen $0 $1 1)))")).arity == 2
 
 
 @pytest.mark.parametrize("text", NOT_CHAINS.values(), ids=NOT_CHAINS.keys())
@@ -283,12 +280,10 @@ def test_spine_and_map_leaves_go_left_to_right():
 
 
 # bodies the unroller takes apart besides the hand-written ones: a call
-# nested two deep, an index computed by newConstGen, and one computed by an
-# integer-valued abstraction
+# nested two deep, and a parameter passed on as the index of a nested call
 UNROLLED = [
     "(lambda (#(lambda (#(lambda (simplify (rrotate $0 1) 0)) (sub $0 3))) (swap $0 1)))",
-    "(lambda (lambda (simplify (swap (sub $1 3) (newConstGen $0 1 1)) 0)))",
-    "(lambda (lambda (swap $1 (#(lambda (lambda (newConstGen $0 $1 1))) $0 2))))",
+    "(lambda (lambda (swap (#(lambda (lambda (simplify (sub $1 $0) 0))) $1 $0) 1)))",
 ]
 
 

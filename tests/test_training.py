@@ -241,11 +241,11 @@ def test_a_wake_of_fewer_than_two_tasks_starts_no_pool(monkeypatch):
 
     train, _, lib, config = seeded_setup()
     config = RunConfig(**{**config.__dict__, "jobs": 4, "budget": SearchBudget(max_expansions=500)})
-    monkeypatch.setattr(mathsynth.training, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(mathsynth.training, "_start_pool", NoPool)
     assert _wake([], lib, config) == {}
     assert list(_wake(train[:1], lib, config)) == [train[0].id]
     assert evaluate_tasks([], lib, config) == {}
-    monkeypatch.setattr(mathsynth.training, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mathsynth.training, "_start_pool", InProcessPool)
     assert list(_wake(train[:2], lib, config)) == [t.id for t in train[:2]]
     assert list(_wake(train, lib, config)) == [t.id for t in train]
     assert pools == [2, 3]
