@@ -46,22 +46,38 @@ while its next cursor's key is smaller than every key in the frontier, the
 cursors of its children included, and goes back into the heap only when
 another cursor is smaller.  The action log probabilities are sorted best
 first and float addition is monotone, so a state's cursor keys never
-decrease with the rank, and the rank at which the run ends is found by
-bisection (_run_end) when the state is popped, and again only when a child
-lowers the frontier's smallest key.  Every rank of a run counts as one
-expansion, the popped one and each continued one alike, and each is
+decrease with the rank.  When the state is popped, the rank at which its
+run ends is tested first at the rank after the popped one, where most runs
+under a fitted library end, and only past it found by bisection
+(_run_end); it is found again only when a child lowers the frontier's
+smallest key.  A state popped from the heap stays at the heap's top for
+its run, since nothing else enters the heap until the run ends, so the
+smallest other cursor there is the smaller of the top's two children.  At
+the end of the run heapreplace puts the state's next cursor in its place,
+or heappop removes it when it has none.  The search loop starts one run
+per pass, and an inner loop expands the run's ranks, so the frontier is
+tested for cursors only where a run starts.  Every rank of a run counts as
+one expansion, the popped one and each continued one alike, and each is
 subject to the same k, cutoff and wall-clock checks as a pop.  So a run
 expands exactly the cursors a pop per expansion would, in the same order.
-For the length of a run the search holds the state's subtrees in a
-pre-order table.  A primitive action tests its rule's shape (the
-primitive's entry in primitives.RULES) on the subtree there and is skipped
-when it fails; otherwise the search calls the rule's rewrite with that
-subtree itself, not primitives.apply_primitive, whose root and range checks
-hold for every state and index it tries.  Where the shape's answer depends
-on the index alone (primitives.shape_at), the search decides it once and
-calls no shape.  The table is dropped when the run ends.  The loop reads
-each rank's log probability, index, shape and rewrite from flat lists
-built once per search.
+
+For the length of a run the search holds a pre-order table of the state's
+subtrees, and the table stops at the deepest index the run's ranks can
+read: their largest reach, one per rank, computed at set-up.  A primitive
+action's reach is its index.  A chain's is its largest step index, since a
+later step reads the table too while the earlier steps leave the equation
+as it was.  Indices are literals 0..10, so a table is never longer than 11
+entries, and a run of one rank walks only to the index that rank reads
+(equations.subtrees with a limit).  The index range checks read the
+equation's size, not the table's.  A primitive action tests its rule's
+shape (the primitive's entry in primitives.RULES) on the subtree there and
+is skipped when it fails; otherwise the search calls the rule's rewrite
+with that subtree itself, not primitives.apply_primitive, whose root and
+range checks hold for every state and index it tries.  Where the shape's
+answer depends on the index alone (primitives.shape_at), the search
+decides it once and calls no shape.  The table is dropped when the run
+ends.  The loop reads each rank's log probability, index, reach, shape and
+rewrite from flat lists built once per search.
 
 An abstraction action is a chain of rule steps.  At set-up the search
 unrolls each one (programs.unrolled_steps) into a tuple of (shape,
@@ -96,11 +112,12 @@ of long-lived objects, and every collection would walk them all and free
 nothing.  The collector is turned back on after the table is closed, and
 only if it was on before, whether the search returns or raises.
 
-The stats a search returns count its work (expansions, states, solutions)
-and say why it ended: stop is "k" when it found k programs, "patience" or
-"budget" when it spent the expansions it was allowed after its first
-solution or in all, "timeout" when the wall clock ran out, and "frontier"
-when no cursor was left, as when the library has no chain actions.
+The stats a search returns count its work (expansions, the runs they were
+expanded in, states, solutions) and say why it ended: stop is "k" when it
+found k programs, "patience" or "budget" when it spent the expansions it
+was allowed after its first solution or in all, "timeout" when the wall
+clock ran out, and "frontier" when no cursor was left, as when the library
+has no chain actions.
 first_solution is the expansion count at the first program found, or
 None.  The stats also say where the expansions went: index_skips (an
 index outside the state), shape_skips (a subtree that fails the shape),
@@ -122,7 +139,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Optional
 
 from .equations import Equation, _descend, check_solved, close_table, intern, open_table, subtrees
@@ -284,6 +301,14 @@ def _chain_search(task, lib, budget, k, patience):
     rewrites = [r.rewrite if r is not None else None for r in rules]
     memo: dict = {}
     chains = [_unrolled(a, memo) if r is None else None for a, r in zip(actions, rules)]
+    # the deepest index of the run's table each rank may read, -1 for none:
+    # a primitive action's index, or a chain's largest step index, since a
+    # later step reads the table too while the earlier ones leave the
+    # equation as it was
+    reaches = [
+        i if c is None else -1 if c is _FAILS else max((s[2] for s in c), default=-1)
+        for i, c in zip(indices, chains)
+    ]
     var_logp = lib.table(CTX_TSTR)[VAR][0]
     found: list[tuple[Term, float]] = []
     cutoff = budget.max_expansions
@@ -310,102 +335,131 @@ def _chain_search(task, lib, budget, k, patience):
     # with no actions the root has no cursor and nothing is expanded
     logp0 = logps[0] if actions else 0.0
     fifo_head = 0 if actions else 1  # the rank-0 cursors of eqs[:fifo_head] are expanded
-    expansions = index_skips = shape_skips = rewrite_failed = chain_failed = duplicates = 0
+    expansions = runs = 0
+    index_skips = shape_skips = rewrite_failed = chain_failed = duplicates = 0
     timed_out = False
     seq = None  # the state whose run is in progress, at cursor rank; it ends at rank end
     start = time.monotonic()
-    while (seq is not None or heap or fifo_head < len(eqs)) and expansions < cutoff:
-        expansions += 1
-        if expansions % 1024 == 0 and time.monotonic() - start > budget.wall_timeout:
-            timed_out = True
-            break
-        if seq is None:
-            # pop the smaller head by (key, seq); seqs are unique, so a
-            # comparison never reaches a rank
-            h = heap[0] if heap else _EMPTY
-            f = (-(priors[fifo_head] + logp0), fifo_head) if fifo_head < len(eqs) else _EMPTY
-            if f < h:
-                seq = fifo_head
-                rank = 0
-                fifo_head += 1
-                f = (-(priors[fifo_head] + logp0), fifo_head) if fifo_head < len(eqs) else _EMPTY
-            else:
-                _, seq, rank = heappop(heap)
-                h = heap[0] if heap else _EMPTY
-            eq, logp = eqs[seq], priors[seq]
-            table = subtrees(eq)
-            n_nodes = len(table)
-            # the smallest (key, seq) in the frontier; from here on only
-            # children join it
-            top_key, top_seq = min(h[:2], f)
-            end = _run_end(logp, seq, logps, rank + 1, n_actions, top_key, top_seq)
-        rewrite = rewrites[rank]
-        child_eq = None
-        if rewrite is not None:
-            index = indices[rank]
-            if index >= n_nodes:
-                index_skips += 1
-            else:
-                y = table[index]
-                shape = shapes[rank]
-                if shape is None or shape(y):
-                    try:
-                        child_eq = rewrite(eq, index, y)
-                    except PrimitiveError:
-                        rewrite_failed += 1
-                else:
-                    shape_skips += 1
+    while expansions < cutoff and (heap or fifo_head < len(eqs)):
+        # start a run at the smaller head by (key, seq); seqs are unique, so
+        # a comparison never reaches a rank.  top is the smallest other
+        # (key, seq) in the frontier; from here on only children join it
+        runs += 1
+        f = (-(priors[fifo_head] + logp0), fifo_head) if fifo_head < len(eqs) else _EMPTY
+        from_heap = heap and heap[0] < f
+        if from_heap:
+            # the state keeps the heap's top for its run, so the smallest
+            # other cursor there is one of the top's children
+            _, seq, rank = heap[0]
+            top = f
+            if len(heap) > 1:
+                h = heap[1] if len(heap) == 2 or heap[1] < heap[2] else heap[2]
+                if h < top:
+                    top = h
         else:
-            chain = chains[rank]
-            if chain is not _FAILS:
-                # the first step reads the run's table, as does a step
-                # whose equation an earlier step left as it was
-                e = eq
-                try:
-                    for step_shape, step_rewrite, i in chain:
-                        if i >= e.size:
-                            break
-                        y = table[i] if e is eq else _descend(e, i)
-                        if step_shape is not None and not step_shape(y):
-                            break
-                        e = step_rewrite(e, i, y)
+            seq = fifo_head
+            rank = 0
+            fifo_head += 1
+            top = (-(priors[fifo_head] + logp0), fifo_head) if fifo_head < len(eqs) else _EMPTY
+            if heap and heap[0] < top:
+                top = heap[0]
+        top_key, top_seq = top[0], top[1]
+        eq, logp = eqs[seq], priors[seq]
+        # the run ends at the first rank whose cursor is greater than top,
+        # most often the one after the rank popped
+        end = rank + 1
+        if end < n_actions:
+            key = -(logp + logps[end])
+            if key < top_key or (key == top_key and seq < top_seq):
+                end = _run_end(logp, seq, logps, end + 1, n_actions, top_key, top_seq)
+        # the run's table stops at the deepest index its ranks read
+        table = subtrees(eq, max(reaches[rank:end]) + 1)
+        size = eq.size
+        while True:
+            expansions += 1
+            if expansions % 1024 == 0 and time.monotonic() - start > budget.wall_timeout:
+                timed_out = True
+                break
+            rewrite = rewrites[rank]
+            child_eq = None
+            if rewrite is not None:
+                index = indices[rank]
+                if index >= size:
+                    index_skips += 1
+                else:
+                    y = table[index]
+                    shape = shapes[rank]
+                    if shape is None or shape(y):
+                        try:
+                            child_eq = rewrite(eq, index, y)
+                        except PrimitiveError:
+                            rewrite_failed += 1
                     else:
-                        child_eq = e
-                except PrimitiveError:
-                    pass
-            if child_eq is None:
-                chain_failed += 1
-        if child_eq is not None:
-            if child_eq.is_state:
-                duplicates += 1
+                        shape_skips += 1
             else:
-                child_eq.is_state = True
-                child = len(eqs)
-                child_logp = logp + logps[rank]
-                eqs.append(child_eq)
-                priors.append(child_logp)
-                parents.append(seq)
-                made_by.append(rank)
-                solution = check_solved(child_eq)
-                if solution is not None and solution == task.goal:
-                    found.append((_rebuild_program(child, parents, made_by, actions), child_logp))
-                    if first_solution is None:
-                        first_solution = expansions
-                    if len(found) >= k:
-                        break
-                    if patience is not None:
-                        cutoff = min(cutoff, expansions + patience)
-                # expanded keys never decrease, so neither do these: the
-                # child's rank-0 cursor joins the queue at its seq
-                key = -(child_logp + logp0)
-                if key < top_key or (key == top_key and child < top_seq):
-                    top_key, top_seq = key, child
-                    end = _run_end(logp, seq, logps, rank + 1, end, top_key, top_seq)
-        rank += 1
-        if rank == end:
-            if end < n_actions:
-                push(heap, (-(logp + logps[rank]), seq, rank))
-            seq = None
+                chain = chains[rank]
+                if chain is not _FAILS:
+                    # the first step reads the run's table, as does a step
+                    # whose equation an earlier step left as it was
+                    e = eq
+                    try:
+                        for step_shape, step_rewrite, i in chain:
+                            if i >= e.size:
+                                break
+                            y = table[i] if e is eq else _descend(e, i)
+                            if step_shape is not None and not step_shape(y):
+                                break
+                            e = step_rewrite(e, i, y)
+                        else:
+                            child_eq = e
+                    except PrimitiveError:
+                        pass
+                if child_eq is None:
+                    chain_failed += 1
+            if child_eq is not None:
+                if child_eq.is_state:
+                    duplicates += 1
+                else:
+                    child_eq.is_state = True
+                    child = len(eqs)
+                    child_logp = logp + logps[rank]
+                    eqs.append(child_eq)
+                    priors.append(child_logp)
+                    parents.append(seq)
+                    made_by.append(rank)
+                    solution = check_solved(child_eq)
+                    if solution is not None and solution == task.goal:
+                        found.append((_rebuild_program(child, parents, made_by, actions), child_logp))
+                        if first_solution is None:
+                            first_solution = expansions
+                        if len(found) >= k:
+                            break
+                        if patience is not None:
+                            cutoff = min(cutoff, expansions + patience)
+                    # expanded keys never decrease, so neither do these: the
+                    # child's rank-0 cursor joins the queue at its seq
+                    key = -(child_logp + logp0)
+                    if key < top_key or (key == top_key and child < top_seq):
+                        top_key, top_seq = key, child
+                        end = _run_end(logp, seq, logps, rank + 1, end, top_key, top_seq)
+            rank += 1
+            if rank == end:
+                # the state's next cursor, if it has one, goes into the heap,
+                # in place of the top when it came from there
+                if end < n_actions:
+                    cursor = (-(logp + logps[rank]), seq, rank)
+                    if from_heap:
+                        heapreplace(heap, cursor)
+                    else:
+                        push(heap, cursor)
+                elif from_heap:
+                    heappop(heap)
+                seq = None
+                break
+            if expansions >= cutoff:
+                break
+        if seq is not None:
+            break  # the clock, k or the cutoff stopped a run
 
     if timed_out:
         stop = "timeout"
@@ -419,6 +473,7 @@ def _chain_search(task, lib, budget, k, patience):
         stop = "budget"
     stats = {
         "expansions": expansions,
+        "runs": runs,
         "states": len(eqs),
         "solutions": len(found),
         "skipped": index_skips + shape_skips,

@@ -260,12 +260,15 @@ def _descend(e: Expr, i: int) -> Expr:
     return e
 
 
-def subtrees(e: Expr) -> list:
-    """Every subtree of ``e`` in pre-order: ``subtrees(e)[i]`` is
-    ``subtree_at(e, i)``."""
+def subtrees(e: Expr, limit: Optional[int] = None) -> list:
+    """The subtrees of ``e`` in pre-order, ``subtrees(e)[i]`` being
+    ``subtree_at(e, i)``: every one, or with ``limit`` the first ``limit``
+    of them (all when e has fewer).  The walk visits only the subtrees it
+    returns, so a caller that reads a few low indices pays for those."""
+    n = e.size if limit is None or limit > e.size else limit
     out = []
     stack = [e]
-    while stack:
+    for _ in range(n):
         t = stack.pop()
         out.append(t)
         if type(t) is Node:

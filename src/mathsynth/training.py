@@ -64,12 +64,18 @@ class RunConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.iterations < 0 or self.eval_every < 1 or self.rounds < 1:
-            raise TrainingError("iterations >= 0, eval_every and rounds >= 1")
-        if self.k_programs < 1 or self.max_arity < 0 or self.probes < 0:
-            raise TrainingError("bad config numerics")
-        if self.jobs < 1:
-            raise TrainingError("jobs must be >= 1")
+        for name, least in (
+            ("iterations", 0),
+            ("eval_every", 1),
+            ("k_programs", 1),
+            ("rounds", 1),
+            ("max_arity", 0),
+            ("probes", 0),
+            ("jobs", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise TrainingError(f"{name} must be >= {least}, not {value}")
         if self.patience is not None and self.patience < 0:
             raise ValueError(f"patience must be >= 0, not {self.patience}")
 

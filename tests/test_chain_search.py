@@ -149,6 +149,7 @@ def _same_search(task, lib, budget, k, patience=None):
     want, want_stats = heap_solve(task, lib, budget, k=k, patience=patience)
     compared = dict(got_stats)
     del compared["seconds"]  # the oracle keeps no clock
+    del compared["runs"]  # nor runs: it pops one cursor per expansion
     skipped = compared.pop("skipped")
     assert skipped == compared.pop("index_skips") + compared.pop("shape_skips")
     failed = compared.pop("failed")
@@ -450,6 +451,10 @@ def test_every_expansion_is_skipped_failed_a_duplicate_or_a_new_state(library):
         accounted = stats["skipped"] + stats["failed"] + stats["duplicates"]
         accounted += stats["states"] - 1
         assert stats["expansions"] - (stop == "timeout") == accounted
+        if stats["expansions"]:
+            assert 1 <= stats["runs"] <= stats["expansions"]
+        else:
+            assert stats["runs"] == 0
         for key in totals:
             totals[key] += stats[key]
     # the initial library has no abstraction actions to fail

@@ -184,6 +184,29 @@ def test_a_budget_that_cannot_mean_anything_is_an_error(tmp_path, capsys, argv, 
     assert out == "" and err.startswith("error: ") and message in err
 
 
+# each setting of train at one below the least value it takes
+_BELOW_LEAST = {
+    "iterations": -1,
+    "eval_every": 0,
+    "k_programs": 0,
+    "rounds": 0,
+    "max_arity": -1,
+    "probes": -1,
+    "jobs": 0,
+}
+
+
+@pytest.mark.parametrize("field", _BELOW_LEAST)
+def test_a_training_setting_out_of_range_is_refused_by_name(tmp_path, capsys, field):
+    tasks = tmp_path / "tasks.jsonl"
+    save_tasks(str(tasks), [Task("t/0", "t", parse_prefix("(= (+ x 4) 6)"), Fraction(2))])
+    value = _BELOW_LEAST[field]
+    rc = main(["train", "--train", str(tasks), "--" + field.replace("_", "-"), str(value)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {field} must be >= {value + 1}, not {value}\n"
+
+
 def test_score_reports_raw_and_dedup_costs(pipeline, tmp_path, capsys):
     _, run_dir, _ = pipeline
     out = tmp_path / "scores.json"

@@ -29,6 +29,7 @@ from mathsynth.equations import (
 )
 
 from conftest import equations, exprs
+from samples import CONCISE_STEPS, SAMPLE_EQUATION_PREFIX, VERBOSE_STEPS
 
 
 FIG1 = parse_prefix("(= (+ (+ 1 (* 2 x)) (* 3 x)) 4)")
@@ -150,6 +151,15 @@ def test_subtrees_lists_every_index_in_pre_order(e):
     table = subtrees(e)
     assert len(table) == e.size
     assert all(t is subtree_at(e, i) for i, t in enumerate(table))
+
+
+def test_subtrees_with_a_limit_is_a_prefix_of_the_whole_table():
+    samples = [parse_prefix(SAMPLE_EQUATION_PREFIX)]
+    samples += [parse_equation_infix(s) for s in VERBOSE_STEPS + CONCISE_STEPS]
+    for e in samples:
+        whole = subtrees(e)
+        for limit in range(e.size + 3):
+            assert subtrees(e, limit) == whole[:limit]
 
 
 def test_equal_trees_built_twice_in_one_table_are_one_object():
