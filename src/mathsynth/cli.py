@@ -31,7 +31,6 @@ from .equations import EquationError
 from .grammar import GrammarError, Library
 from .metric import (
     MetricError,
-    PROGRAM_TRACE,
     dedup_steps,
     extract_steps,
     mean_c_score,
@@ -218,7 +217,7 @@ def _report_json(report) -> dict:
 
 
 def cmd_compare(args) -> int:
-    target = load_solutions(args.target, source=PROGRAM_TRACE)
+    target = load_solutions(args.target)
     baseline = load_solutions(args.baseline)
     _, raw = mean_c_score(target, baseline)
     ded_t = {t: dedup_steps(s) for t, s in target.items()}

@@ -34,17 +34,17 @@ from .programs import (
     IntLit,
     Lambda,
     Prim,
-    PRIM_TYPES,
+    ProgramError,
     Term,
     TINT,
     TSTR,
     VarRef,
-    is_arrow,
+    infer_type,
     map_leaves,
     program_cost,
     render_program,
+    signature,
     spine,
-    split_type,
     subterms,
 )
 
@@ -73,26 +73,29 @@ class Pattern:
     arity: int
 
 
-def type_of(term: Term) -> object:
-    """Type of a closed-enough corpus subterm (saturated applications)."""
+def type_of(term: Term) -> Optional[str]:
+    """What kind of value the chain subterm ``term`` is: TINT for a
+    literal, TSTR for $0 or a call, None for a lambda or a bare reference,
+    which stand in no argument position of a chain."""
     tt = type(term)
     if tt is IntLit:
         return TINT
-    if tt is VarRef:
+    if tt is VarRef or tt is Apply:
         return TSTR
-    if tt is Prim:
-        return PRIM_TYPES[term.name]
-    if tt is AbsRef:
-        return term.abstraction.type
-    if tt is Lambda:
-        return ("->", TSTR, type_of(term.body))
-    head, args = spine(term)
-    t = type_of(head)
-    for _ in args:
-        if not is_arrow(t):
-            raise CompressionError(f"over-applied term {render_program(term)}")
-        t = t[2]
-    return t
+    return None
+
+
+def _check_corpus(corpus: Corpus) -> None:
+    """CompressionError unless every program is a tstr -> tstr chain."""
+    for task_id, prog in corpus:
+        try:
+            arity = infer_type(prog)
+        except ProgramError as err:
+            raise CompressionError(f"corpus program of {task_id!r} is no chain: {err}") from err
+        if arity != 1:
+            raise CompressionError(
+                f"corpus program of {task_id!r} has type {signature(arity)}, not tstr -> tstr"
+            )
 
 
 def _render_hole(hole: _PHole) -> str:
@@ -231,6 +234,7 @@ def best_pattern(
     abstraction is already in `known` are not candidates, so repeated calls
     keep mining new structure instead of re-finding old.
     """
+    _check_corpus(corpus)
     best: Optional[Pattern] = None
     best_u = None
     best_key = None
@@ -246,17 +250,18 @@ def best_pattern(
         if best_key is None or key < best_key:
             best, best_u, best_key = p, u, key
 
-    # whole programs: duplicates collapse into a single library call
+    # whole programs that make a step: duplicates collapse into a single
+    # library call
     seen = {}
     for _, prog in corpus:
-        if type(prog) is Lambda and prog not in seen:
+        if type(prog) is Lambda and type(prog.body) is Apply and prog not in seen:
             seen[prog] = True
             if max_pattern_nodes is None or _node_count(prog) <= max_pattern_nodes:
                 consider(Pattern(prog, 0))
 
-    # fragment patterns, grown top-down from an equation-typed root hole: an
-    # integer site is a bare literal, which no pattern with a hole matches,
-    # and a program's own lambda has an arrow type
+    # fragment patterns, grown top-down from an equation-valued root hole:
+    # an integer site is a bare literal, which no pattern with a hole
+    # matches, and a program's own lambda is no equation
     sites = [
         (pi, s, program_cost(s))
         for pi, (_, prog) in enumerate(corpus)
@@ -306,15 +311,14 @@ def best_pattern(
             )
         for key in sorted(heads):
             head, n_head_args, new_matches = heads[key]
-            arg_types = split_type(type_of(head))[0]
-            if len(arg_types) < n_head_args:
-                continue
-            # the head takes the hole's place and adds n applications and n holes
+            # the head takes the hole's place and adds n applications and n
+            # holes: the equation's, then the indices' (a literal takes none)
             new_nodes = nodes + 2 * n_head_args
             if max_pattern_nodes is not None and new_nodes > max_pattern_nodes:
                 continue
+            kinds = (TSTR, *(TINT,) * (n_head_args - 1))[:n_head_args]
             stack.append(
-                (pieces + ((head, n_head_args),), arg_types[:n_head_args] + rest,
+                (pieces + ((head, n_head_args),), kinds + rest,
                  cc + 100 + n_head_args, new_nodes, n_args, new_matches)
             )
 

@@ -38,7 +38,7 @@ from .equations import (
 )
 from .enumerator import Task
 from .grammar import Library
-from .metric import INGESTED_BASELINE, Solution
+from .metric import Solution
 
 
 class CorpusError(Exception):
@@ -312,7 +312,7 @@ def parse_step(text: str) -> Equation:
     return eq
 
 
-def load_solutions(path: str, source: str = INGESTED_BASELINE) -> dict:
+def load_solutions(path: str) -> dict:
     """task id -> Solution; accepts bare step lists or {program, steps}."""
     with open(path) as f:
         data = _load_json(f.read(), path)
@@ -332,7 +332,7 @@ def load_solutions(path: str, source: str = INGESTED_BASELINE) -> dict:
             raise CorpusError(f"{path}: task {task_id!r}: {ex}") from ex
         if not states:
             raise CorpusError(f"{path}: task {task_id!r}: empty step list")
-        out[task_id] = Solution(task_id, states, source)
+        out[task_id] = Solution(task_id, states)
     return out
 
 

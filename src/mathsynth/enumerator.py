@@ -143,7 +143,7 @@ from heapq import heappop, heappush, heapreplace
 from typing import Optional
 
 from .equations import Equation, _descend, check_solved, close_table, intern, open_table, subtrees
-from .grammar import CTX_TINT, CTX_TSTR, VAR, Library
+from .grammar import LITERAL_LOG_PROB, VAR, Library
 from .primitives import RULES, PrimitiveError, shape_at
 from .programs import (
     Apply,
@@ -196,15 +196,13 @@ def _chain_actions(lib: Library) -> list[_Action]:
     """Every (equation production, literal argument tuple) pair, ordered
     best-probability first with the render text as tiebreak; an
     abstraction's inline text is rendered once and kept on it."""
-    lit_logp = {v: lib.table(CTX_TINT)[IntLit(v)][0] for v in LITERAL_RANGE}
     actions = []
-    for head, (log_prob, arg_ctxs) in lib.table(CTX_TSTR).items():
-        if not arg_ctxs:
+    for head, (log_prob, arity) in lib.table().items():
+        if not arity:
             continue  # the variable; every other head takes the equation, then integers
-        n_int = len(arg_ctxs) - 1
         prefix = f"({render_program(head)} "
-        for lits in itertools.product(LITERAL_RANGE, repeat=n_int):
-            logp = log_prob + sum(lit_logp[v] for v in lits)
+        for lits in itertools.product(LITERAL_RANGE, repeat=arity - 1):
+            logp = log_prob + sum(LITERAL_LOG_PROB for _ in lits)
             suffix = "".join(f" {v}" for v in lits) + ")"
             actions.append(_Action(logp, prefix, suffix, head, lits))
     actions.sort(key=lambda a: (-a.log_prob, a.prefix, a.suffix))
@@ -309,7 +307,7 @@ def _chain_search(task, lib, budget, k, patience):
         i if c is None else -1 if c is _FAILS else max((s[2] for s in c), default=-1)
         for i, c in zip(indices, chains)
     ]
-    var_logp = lib.table(CTX_TSTR)[VAR][0]
+    var_logp = lib.table()[VAR][0]
     found: list[tuple[Term, float]] = []
     cutoff = budget.max_expansions
 

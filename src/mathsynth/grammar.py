@@ -2,14 +2,14 @@
 
 The library holds every production the search may use: the built-in
 primitives plus learned abstractions.  A production is its head term, a
-Prim or an AbsRef, with a type and a log weight.  Weights are unnormalized;
-each hole context has one table, keyed by head term, that maps every head
-allowed there to its normalized log probability and the contexts of its
-arguments, so Eq-style priors are products of per-choice probabilities.
-
-Two contexts exist: equation-valued holes (the bound equation variable $0,
-the primitives and the abstractions, every one of which returns an
-equation) and integer-valued holes, which hold the literals 0..10 alone.
+Prim or an AbsRef, with a log weight.  Weights are unnormalized; one table,
+keyed by head term, maps every head of an equation position (the bound
+equation variable $0, the primitives and the abstractions, every one of
+which returns an equation) to its normalized log probability and its arity
+(programs.infer_type), so Eq-style priors are products of per-choice
+probabilities.  A head takes the equation, then arity - 1 indices; an
+index position holds one of the literals 0..10, each of log probability
+LITERAL_LOG_PROB.
 
 fit_grammar counts production uses in a program corpus and sets weight =
 count + 1 (Laplace smoothing), so a production used 9 times ends up 10x the
@@ -30,22 +30,19 @@ from .programs import (
     Lambda,
     LITERAL_RANGE,
     Prim,
-    PRIM_TYPES,
     ProgramError,
     Term,
-    TSTR,
     VarRef,
-    arrow,
+    infer_type,
     parse_program,
     render_program,
-    render_type,
+    signature,
     spine,
-    split_type,
     subterms,
 )
+from .primitives import RULES
 
-CTX_TSTR = "tstr"
-CTX_TINT = "tint"
+LITERAL_LOG_PROB = -math.log(len(LITERAL_RANGE))  # every literal alike
 
 VAR = VarRef(0)  # the bound equation variable, the head that takes no arguments
 
@@ -57,7 +54,6 @@ class GrammarError(Exception):
 @dataclass
 class Production:
     head: Union[Prim, AbsRef]
-    type: object
     log_weight: float
 
     @property
@@ -74,11 +70,11 @@ class Library:
         self.productions = productions
         self.var_log_weight = var_log_weight
         self.iteration = iteration
-        self._tables: Optional[dict] = None
+        self._table: Optional[dict] = None
 
     @classmethod
     def initial(cls) -> "Library":
-        return cls([Production(Prim(name), t, 0.0) for name, t in PRIM_TYPES.items()])
+        return cls([Production(Prim(name), 0.0) for name in RULES])
 
     def abstractions(self) -> list[Abstraction]:
         return [p.head.abstraction for p in self.productions if type(p.head) is AbsRef]
@@ -98,20 +94,18 @@ class Library:
         while f"fn_{k}" in taken:
             k += 1
         a = Abstraction(body, name=f"fn_{k}", origin_iteration=origin_iteration)
-        self.productions.append(Production(AbsRef(a), a.type, 0.0))
-        self._tables = None
+        self.productions.append(Production(AbsRef(a), 0.0))
+        self._table = None
         return a
 
-    # -- normalized tables ------------------------------------------------
+    # -- normalized table -------------------------------------------------
 
-    def _build_tables(self) -> dict:
-        # entry = (head, log_weight, arg_ctxs)
-        tstr_entries = [(VAR, self.var_log_weight, ())]
-        for p in self.productions:
-            ctxs = tuple(CTX_TSTR if a == TSTR else CTX_TINT for a in split_type(p.type)[0])
-            tstr_entries.append((p.head, p.log_weight, ctxs))
-
-        def normalize(entries):
+    def table(self) -> dict:
+        """head -> (log_prob, arity) for every head of an equation position:
+        VAR, which takes no arguments, a Prim or an AbsRef."""
+        if self._table is None:
+            entries = [(VAR, self.var_log_weight, 0)]
+            entries += [(p.head, p.log_weight, infer_type(p.head)) for p in self.productions]
             try:
                 mass = sum(math.exp(w) for _, w, _ in entries)
             except OverflowError:
@@ -121,46 +115,38 @@ class Library:
                     "production weights overflow or underflow when normalized"
                 )
             total = math.log(mass)
-            return {head: (w - total, ctxs) for head, w, ctxs in entries}
-
-        return {
-            CTX_TSTR: normalize(tstr_entries),
-            CTX_TINT: normalize([(IntLit(v), 0.0, ()) for v in LITERAL_RANGE]),
-        }
-
-    def table(self, ctx: str) -> dict:
-        """head -> (log_prob, arg_ctxs) for every head allowed in context
-        ``ctx``: VAR, an IntLit, a Prim or an AbsRef."""
-        if self._tables is None:
-            self._tables = self._build_tables()
-        return self._tables[ctx]
+            self._table = {head: (w - total, arity) for head, w, arity in entries}
+        return self._table
 
     # -- scoring ----------------------------------------------------------
 
     def log_prior(self, p: Term) -> float:
         """Log of the Eq-style product prior for a closed program.
 
-        A tstr -> tstr program is a lambda whose body is scored in the
-        equation context; a bare library call stands for its one-step
+        A tstr -> tstr program is a lambda whose body is scored as an
+        equation position; a bare library call stands for its one-step
         chain (lambda (fn $0)); GrammarError for any other bare term.
         """
         if type(p) is Lambda:
-            return self._score(p.body, CTX_TSTR)
-        if type(p) is AbsRef and p.abstraction.type == arrow(TSTR, TSTR):
-            return self._score(Apply(p, VAR), CTX_TSTR)
+            return self._score(p.body)
+        if type(p) is AbsRef and p.abstraction.arity == 1:
+            return self._score(Apply(p, VAR))
         raise GrammarError(f"{render_program(p)} is no tstr -> tstr program")
 
-    def _score(self, term: Term, ctx: str) -> float:
+    def _score(self, term: Term) -> float:
+        """The log prior of the chain ``term`` in an equation position."""
         head, args = spine(term)
-        entry = self.table(ctx).get(head)
+        entry = self.table().get(head)
         if entry is None:
-            raise GrammarError(f"no production for {render_program(head)} in context {ctx}")
-        log_prob, arg_ctxs = entry
-        if len(args) != len(arg_ctxs):
+            raise GrammarError(f"no production for {render_program(head)} in an equation position")
+        log_prob, arity = entry
+        if len(args) != arity:
             raise GrammarError(
-                f"{render_program(head)} applied to {len(args)} args, expected {len(arg_ctxs)}"
+                f"{render_program(head)} applied to {len(args)} args, expected {arity}"
             )
-        return log_prob + sum(self._score(a, actx) for a, actx in zip(args, arg_ctxs))
+        return log_prob + sum(
+            _literal_log_prob(a) if i else self._score(a) for i, a in enumerate(args)
+        )
 
     # -- persistence -------------------------------------------------------
 
@@ -170,7 +156,7 @@ class Library:
             d = {
                 "kind": "primitive",
                 "name": p.name,
-                "type": render_type(p.type),
+                "type": signature(infer_type(p.head)),
                 "log_weight": p.log_weight,
             }
             if type(p.head) is AbsRef:
@@ -204,9 +190,9 @@ class Library:
             if pd["kind"] not in ("primitive", "abstraction"):
                 raise GrammarError(f"unknown production kind {pd['kind']!r} in checkpoint")
             if pd["kind"] == "primitive":
-                if name not in PRIM_TYPES:
+                if name not in RULES:
                     raise GrammarError(f"unknown primitive {name!r} in checkpoint")
-                prod = Production(Prim(name), PRIM_TYPES[name], pd["log_weight"])
+                prod = Production(Prim(name), pd["log_weight"])
             else:
                 _check_fields(pd, "checkpoint abstraction", _ABSTRACTION_FIELDS)
                 origin = pd.get("origin_iteration", 0)
@@ -223,11 +209,12 @@ class Library:
                     )
                 bodies[a] = name
                 _check_name(a, [*lib.abstractions(), a])
-                prod = Production(AbsRef(a), a.type, pd["log_weight"])
-            if render_type(prod.type) != pd["type"]:
+                prod = Production(AbsRef(a), pd["log_weight"])
+            inferred = signature(infer_type(prod.head))
+            if inferred != pd["type"]:
                 raise GrammarError(
                     f"type mismatch for {name}: checkpoint says {pd['type']}, "
-                    f"inferred {render_type(prod.type)}"
+                    f"inferred {inferred}"
                 )
             lib.productions.append(prod)
         return lib
@@ -251,6 +238,14 @@ def _check_fields(d, what: str, fields: dict) -> None:
             raise GrammarError(
                 f"{what} field {key!r} has a value of type {type(d[key]).__name__}"
             )
+
+
+def _literal_log_prob(term: Term) -> float:
+    """The log prior of ``term`` in an index position, which holds a
+    literal alone."""
+    if type(term) is not IntLit or term.value not in LITERAL_RANGE:
+        raise GrammarError(f"no production for {render_program(term)} in an index position")
+    return LITERAL_LOG_PROB
 
 
 def _check_name(a: Abstraction, abstractions: list) -> None:
@@ -298,7 +293,7 @@ def fit_grammar(lib: Library, programs: Iterable[Term]) -> Library:
     """Refit weights from usage counts: weight = log(count + 1)."""
     counts, var_uses = production_counts(programs)
     prods = [
-        Production(p.head, p.type, math.log(counts.get(p.head, 0) + 1))
+        Production(p.head, math.log(counts.get(p.head, 0) + 1))
         for p in lib.productions
     ]
     return Library(prods, var_log_weight=math.log(var_uses + 1), iteration=lib.iteration)

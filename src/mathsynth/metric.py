@@ -17,10 +17,6 @@ from typing import Optional
 from .equations import Equation, is_equation, node_count
 from .programs import Term, evaluate
 
-PROGRAM_TRACE = "program-trace"
-INGESTED_BASELINE = "ingested-baseline"
-
-
 class MetricError(Exception):
     pass
 
@@ -29,7 +25,6 @@ class MetricError(Exception):
 class Solution:
     task_id: str
     states: tuple
-    source: str = PROGRAM_TRACE
 
     def __post_init__(self):
         if len(self.states) < 1:
@@ -112,7 +107,7 @@ def extract_steps(
     """The states ``p`` passes through on ``input_equation``.  ``lib`` is
     accepted for callers that pass one; a program holds its abstractions."""
     _, states = evaluate(p, input_equation, trace=True)
-    return Solution(task_id, tuple(states), PROGRAM_TRACE)
+    return Solution(task_id, tuple(states))
 
 
 def dedup_steps(s: Solution) -> Solution:
@@ -120,4 +115,4 @@ def dedup_steps(s: Solution) -> Solution:
     for st in s.states[1:]:
         if st != states[-1]:
             states.append(st)
-    return Solution(s.task_id, tuple(states), s.source)
+    return Solution(s.task_id, tuple(states))

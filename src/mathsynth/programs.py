@@ -7,23 +7,26 @@ abstractions appear either by name or inline as ``#(lambda ...)``.  The
 inline form is the canonical serialization: it is self-contained, so parsing
 it never needs a library.
 
-Types are simple: ``tstr`` (an equation), ``tint`` (an integer) and arrows.
-Every primitive has type ``tstr -> tint -> tstr`` with the equation first.
+Every head, primitive or abstraction, takes an equation (``tstr``), then
+arity - 1 integer indices (``tint``), and returns an equation, so a head's
+type is its arity.  infer_type decides it, and signature renders it as
+text: ``tstr -> tint -> tstr`` for a primitive, whose arity is 2.
 
 A program is a chain: a variable, a literal, or a call of a primitive or an
-abstraction on exactly as many arguments as its type takes, each a chain of
-the type its position takes.  An argument in equation position is tstr; an
-index argument is tint: a literal or a parameter.  infer_type reads a
-chain's type off these positions.  An abstraction body is leading lambdas
-over a chain that uses every parameter, an equation parameter once.  Every
-head takes one equation and returns one, so a body takes exactly one
+abstraction on exactly as many arguments as its arity, each a chain of the
+kind its position takes.  The argument in equation position is tstr; an
+index argument is tint: a literal or a parameter.  infer_type checks a
+lambda's chain against these positions.  An abstraction body is leading
+lambdas over a chain that uses every parameter, an equation parameter once.
+Every head takes one equation and returns one, so a body takes exactly one
 equation, as its first parameter, and each equation it makes feeds the
 next step.  The Abstraction constructor raises ProgramError for any other
 body: an inner lambda, a partial application, a function-valued argument,
-an unused parameter, an equation used twice, or an equation parameter that
-is not the first, which no chain search step could call.  A top-level
-program is ``(lambda $0)``, a lambda over a chain on ``$0``, or a bare
-tstr -> tstr abstraction reference, the eta-reduced form training stores.
+an unused parameter, an equation used twice, an equation parameter that is
+not the first, which no chain search step could call, or ``(lambda $0)``,
+which makes no step.  A top-level program is ``(lambda $0)``, a lambda over
+a chain on ``$0``, or a bare abstraction reference of arity 1, the
+eta-reduced form training stores.
 
 There is one runner.  unrolled_steps turns a call of an abstraction into the
 (primitive name, index) steps it makes.  evaluate splits a program into its
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .equations import MAX_NESTING, Equation, _too_deep, is_equation, render_prefix
-from .primitives import EQUATION_PRIMITIVES, PrimitiveError, apply_primitive
+from .primitives import RULES, PrimitiveError, apply_primitive
 
 TSTR = "tstr"
 TINT = "tint"
@@ -63,38 +66,11 @@ class EvalError(Exception):
     """Runtime failure while executing a program."""
 
 
-def arrow(*types):
-    """Right-nested function type: arrow(a, b, c) == a -> (b -> c)."""
-    if len(types) < 2:
-        raise ValueError("arrow needs at least two types")
-    t = types[-1]
-    for arg in reversed(types[:-1]):
-        t = ("->", arg, t)
-    return t
+def signature(arity: int) -> str:
+    """The type text of a head of ``arity`` parameters: the equation, then
+    arity - 1 indices, to an equation.  ``tstr -> tint -> tstr`` for 2."""
+    return " -> ".join((TSTR, *(TINT,) * (arity - 1), TSTR))
 
-
-def is_arrow(t) -> bool:
-    return type(t) is tuple and t[0] == "->"
-
-
-def split_type(t) -> tuple:
-    """(argument types, result type): split_type(arrow(a, b, c)) is
-    ((a, b), c), and split_type(a) is ((), a)."""
-    args = []
-    while is_arrow(t):
-        args.append(t[1])
-        t = t[2]
-    return tuple(args), t
-
-
-def render_type(t) -> str:
-    """``tstr -> tint -> tstr``."""
-    args, result = split_type(t)
-    return " -> ".join((*args, result))
-
-
-EQ_PRIM_TYPE = arrow(TSTR, TINT, TSTR)
-PRIM_TYPES = {name: EQ_PRIM_TYPE for name in EQUATION_PRIMITIVES}
 
 LITERAL_RANGE = range(0, 11)  # the integer literals a program may contain
 
@@ -131,21 +107,18 @@ class IntLit:
 class Abstraction:
     """A named, reusable program fragment; equality is by body alone.
 
-    The type is read off the body when it is made, and the inline text
+    The arity is read off the body when it is made, and the inline text
     when it is first rendered; pickling drops both, so an Abstraction
     travels as its body, name and origin iteration."""
 
-    __slots__ = ("name", "body", "origin_iteration", "type", "_hash", "_text")
+    __slots__ = ("name", "body", "origin_iteration", "arity", "_hash", "_text")
 
     def __init__(self, body: "Term", name: Optional[str] = None, origin_iteration: int = 0):
         if type(body) is not Lambda:
             raise ProgramError("an abstraction body must start with a lambda")
-        self.type = infer_type(body)
-        if split_type(self.type)[0][0] != TSTR:
-            raise ProgramError(
-                f"an abstraction of type {render_type(self.type)} does not take"
-                " its equation first"
-            )
+        self.arity = infer_type(body)
+        if type(body.body) is VarRef:
+            raise ProgramError(f"the abstraction {render_program(body)} makes no step")
         self.body = body
         self.name = name
         self.origin_iteration = origin_iteration
@@ -154,13 +127,6 @@ class Abstraction:
 
     def __reduce__(self):
         return (Abstraction, (self.body, self.name, self.origin_iteration))
-
-    @property
-    def arity(self) -> int:
-        n, t = 0, self.body
-        while type(t) is Lambda:
-            n, t = n + 1, t.body
-        return n
 
     @property
     def inline(self) -> str:
@@ -320,7 +286,7 @@ def _parse_term(tokens, pos, depth, abstractions):
         if v not in LITERAL_RANGE:
             raise ProgramError(f"integer literal {v} outside 0..10")
         return IntLit(v), pos + 1
-    if tok in PRIM_TYPES:
+    if tok in RULES:
         return Prim(tok), pos + 1
     by_name = abstractions[0]
     if tok in by_name:
@@ -387,67 +353,72 @@ def map_leaves(term: Term, f) -> Term:
 # --- types ----------------------------------------------------------------------
 
 
-def infer_type(p: Term, env: tuple = ()):
-    """The type of ``p``, read off argument positions.
+def infer_type(p: Term) -> int:
+    """The arity of the head or lambda ``p``: its parameter count, the
+    equation first and then arity - 1 indices.
 
-    A bare Prim or AbsRef has its own type; anything else must be leading
-    lambdas over a chain that uses every parameter, and ProgramError says
-    why it is not.  ``env`` holds the types of the variables free in ``p``,
-    innermost first."""
+    A Prim has arity 2 and an AbsRef its abstraction's; a lambda must be
+    leading lambdas over a chain that uses every parameter and takes its
+    equation first, and ProgramError says why it is not.  ProgramError for
+    any other term."""
     tt = type(p)
     if tt is Prim:
-        return PRIM_TYPES[p.name]
+        return 2
     if tt is AbsRef:
-        return p.abstraction.type
+        return p.abstraction.arity
+    if tt is not Lambda:
+        raise ProgramError(f"{render_program(p)} is no primitive, abstraction or lambda")
     n, core = 0, p
     while type(core) is Lambda:
         n, core = n + 1, core.body
-    used = [None] * (n + len(env))
-    result = _chain_type(core, None, used)
-    for k, t in enumerate(env, n):
-        if used[k] not in (None, t):
-            raise ProgramError(f"${k} is used as {used[k]}, not {t}")
-    params = used[n - 1::-1] if n else []  # call order: $0 is the last parameter
+    used = [None] * n
+    _chain_type(core, TSTR, used)
+    params = used[::-1]  # call order: $0 is the last parameter
     if None in params:
         raise ProgramError(f"${n - 1 - params.index(None)} is never used")
-    return arrow(*params, result) if n else result
+    if params[0] != TSTR:
+        raise ProgramError(
+            f"an abstraction of type {' -> '.join((*params, TSTR))} does not take"
+            " its equation first"
+        )
+    return n
 
 
-def _chain_type(term: Term, want, used: list):
-    """The type of the chain ``term``, tstr or tint, which must be ``want``
-    unless that is None.  used[k] is the type $k is used at so far, or
-    None; an equation variable may be used once."""
+def _chain_type(term: Term, want: str, used: list) -> None:
+    """ProgramError unless ``term`` is a chain of kind ``want``, tstr or
+    tint.  used[k] is the kind $k is used at so far, or None; an equation
+    variable may be used once."""
     tt = type(term)
     if tt is VarRef:
-        k, t = term.index, want or TSTR
+        k = term.index
         if k >= len(used):
             raise ProgramError(f"unbound variable ${k}")
-        if used[k] == TSTR or used[k] not in (None, t):
-            raise ProgramError(f"${k} is used as {used[k]} and again as {t}")
-        used[k] = t
-        return t
+        if used[k] == TSTR or used[k] not in (None, want):
+            raise ProgramError(f"${k} is used as {used[k]} and again as {want}")
+        used[k] = want
+        return
     if tt is IntLit:
         if want == TSTR:
             raise ProgramError(f"the integer {term.value} stands where an equation goes")
-        return TINT
+        return
     head, args = spine(term)
     th = type(head)
     if th is Lambda:
         raise ProgramError("an inner lambda is no chain step")
     if th is not Prim and th is not AbsRef:
         raise ProgramError(f"{render_program(term)} calls no primitive or abstraction")
-    types, result = split_type(infer_type(head))
-    if len(args) != len(types):
+    arity = infer_type(head)
+    if len(args) != arity:
         raise ProgramError(
-            f"{render_program(head, named=True)} takes {len(types)} arguments, not {len(args)}"
+            f"{render_program(head, named=True)} takes {arity} arguments, not {len(args)}"
         )
-    if want is not None and result != want:
+    if want != TSTR:
         raise ProgramError(
-            f"{render_program(head, named=True)} returns {result} where {want} goes"
+            f"{render_program(head, named=True)} returns {TSTR} where {want} goes"
         )
-    for arg, t in zip(args, types):
-        _chain_type(arg, t, used)
-    return result
+    _chain_type(args[0], TSTR, used)
+    for arg in args[1:]:
+        _chain_type(arg, TINT, used)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -563,11 +534,11 @@ def evaluate(p: Term, input_equation: Equation, trace: bool = False):
     with the output.  EvalError for a program that is no chain.
     """
     try:
-        t = infer_type(p)
+        arity = infer_type(p)
     except ProgramError as err:
         raise EvalError(f"not a chain program: {err}") from err
-    if t != arrow(TSTR, TSTR):
-        raise EvalError(f"program has type {render_type(t)}, expected tstr -> tstr")
+    if arity != 1:
+        raise EvalError(f"program has type {signature(arity)}, expected {signature(1)}")
     if not is_equation(input_equation):
         raise EvalError("a program runs on an equation")
     states = [input_equation] if trace else None

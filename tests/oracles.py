@@ -83,7 +83,9 @@ def exhaustive_oracle(
         return out
 
     for _, prog in corpus:
-        if type(prog) is Lambda and _node_count(prog) <= max_pattern_nodes:
+        # a whole program is a candidate when it makes a step
+        body = prog.body if type(prog) is Lambda else None
+        if type(body) is Apply and _node_count(prog) <= max_pattern_nodes:
             add(Pattern(prog, 0))
         for site in subtrees(prog):
             for term, holes in anti_instances(site):

@@ -7,7 +7,7 @@ isolate, divide (4 states).  Tests pin the metric against these: raw f of
 """
 
 from mathsynth.equations import parse_equation_infix
-from mathsynth.metric import INGESTED_BASELINE, PROGRAM_TRACE, Solution
+from mathsynth.metric import Solution
 
 SAMPLE_TASK_ID = "sample/collect-and-divide"
 
@@ -42,9 +42,9 @@ CONCISE_STEPS = (
 
 def verbose_solution() -> Solution:
     states = tuple(parse_equation_infix(s) for s in VERBOSE_STEPS)
-    return Solution(SAMPLE_TASK_ID, states, INGESTED_BASELINE)
+    return Solution(SAMPLE_TASK_ID, states)
 
 
 def concise_solution() -> Solution:
     states = tuple(parse_equation_infix(s) for s in CONCISE_STEPS)
-    return Solution(SAMPLE_TASK_ID, states, PROGRAM_TRACE)
+    return Solution(SAMPLE_TASK_ID, states)

@@ -33,7 +33,7 @@ from mathsynth.enumerator import (
     solve_task_with_stats,
 )
 from mathsynth.equations import check_solved, parse_prefix, render_prefix
-from mathsynth.grammar import CTX_TSTR, VAR, Library, fit_grammar
+from mathsynth.grammar import VAR, Library, fit_grammar
 from mathsynth.primitives import PrimitiveError, apply_primitive
 from mathsynth.programs import (
     Apply,
@@ -74,7 +74,7 @@ def _rebuild_program(node):
 
 def heap_solve(task, lib, budget, k=5, patience=None):
     actions = _chain_actions(lib)
-    var_logp = lib.table(CTX_TSTR)[VAR][0]
+    var_logp = lib.table()[VAR][0]
     found = []
     cutoff = budget.max_expansions
     root = _ChainNode(task.input, var_logp, None, None, 0)

@@ -329,10 +329,11 @@ def _listed_twice(production: dict) -> dict:
         _listed_twice({"kind": "abstraction", "name": "fn_1", "body": "(lambda (sub $0 5))"}),
         _listed_twice({"kind": "abstraction", "name": "fn_0", "body": "(lambda (add $0 3))"}),
         _with_abstraction("(lambda (sub $0 5))", "tstr -> tstr", name="7"),
+        _with_abstraction("(lambda $0)", "tstr -> tstr"),
     ],
     ids=[
         "empty", "list", "null", "unknown", "not-a-name", "returns-function",
-        "primitive-twice", "same-body", "same-name", "name-not-a-token",
+        "primitive-twice", "same-body", "same-name", "name-not-a-token", "identity",
     ],
 )
 def test_malformed_checkpoint_is_an_error_not_a_traceback(tmp_path, capsys, checkpoint):

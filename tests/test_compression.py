@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import mathsynth.compression
 from mathsynth.compression import (
     CompressionError,
     Pattern,
@@ -50,6 +51,19 @@ def test_trivial_identity_program_yields_nothing():
     abstractions, _, rewritten = compress_detailed(corp("(lambda $0)"))
     assert abstractions == []
     assert rewritten == corp("(lambda $0)")
+
+
+@pytest.mark.parametrize(
+    "text", ["(lambda (sub $0))", "(lambda (lambda (sub $1 $0)))", "sub", "5"],
+    ids=["under-applied", "two-parameters", "bare-primitive", "bare-integer"],
+)
+def test_a_corpus_program_that_is_no_tstr_to_tstr_chain_is_refused(monkeypatch, text):
+    def scored(*_):
+        raise AssertionError("a candidate was scored")
+
+    monkeypatch.setattr(mathsynth.compression, "utility", scored)
+    with pytest.raises(CompressionError, match="'t1'"):
+        best_pattern(corp("(lambda (sub $0 5))", text))
 
 
 def test_rounds_must_be_positive():

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
-from mathsynth.grammar import CTX_TINT, GrammarError, Library, fit_grammar
+from mathsynth.grammar import LITERAL_LOG_PROB, VAR, GrammarError, Library, fit_grammar
 from mathsynth.programs import (
     Abstraction,
     AbsRef,
     Apply,
     IntLit,
     Lambda,
+    Prim,
     VarRef,
     parse_program,
     render_program,
@@ -101,7 +102,27 @@ def test_a_fitted_library_takes_indices_from_the_literals_alone():
     lib = Library.initial()
     lib.add_abstraction(parse_program("(lambda (lambda (simplify (swap $1 $0) 0)))"))
     fitted = fit_grammar(lib, [parse_program("(lambda (fn_0 (sub $0 3) 1))", lib)] * 4)
-    assert fitted.table(CTX_TINT) == {IntLit(v): (-math.log(11), ()) for v in range(11)}
+    table = fitted.table()
+    assert LITERAL_LOG_PROB == -math.log(11)
+    assert not any(type(head) is IntLit for head in table)
+    for v in range(11):
+        prior = fitted.log_prior(parse_program(f"(lambda (sub $0 {v}))"))
+        assert prior == table[Prim("sub")][0] + (table[VAR][0] + LITERAL_LOG_PROB)
+    for index in (IntLit(11), VarRef(0), Prim("sub")):
+        with pytest.raises(GrammarError, match="in an index position"):
+            fitted.log_prior(Lambda(Apply(Apply(Prim("sub"), VarRef(0)), index)))
+
+
+def test_checkpoint_types_are_the_equation_then_the_indices():
+    lib = Library.initial()
+    for body in ("(lambda (sub $0 5))", "(lambda (lambda (sub $1 $0)))",
+                 "(lambda (lambda (lambda (swap (sub $2 $1) $0))))"):
+        lib.add_abstraction(parse_program(body))
+    types = {p["name"]: p["type"] for p in lib.to_dict()["productions"]}
+    assert types["sub"] == "tstr -> tint -> tstr"
+    assert [types[f"fn_{k}"] for k in range(3)] == [
+        "tstr -> tstr", "tstr -> tint -> tstr", "tstr -> tint -> tint -> tstr",
+    ]
 
 
 def test_serialization_round_trip():

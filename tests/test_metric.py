@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from mathsynth.equations import parse_prefix
 from mathsynth.metric import (
-    INGESTED_BASELINE,
     MetricError,
-    PROGRAM_TRACE,
     Solution,
     c_score,
     dedup_steps,
@@ -22,8 +20,8 @@ from conftest import equations
 from samples import SAMPLE_TASK_ID, concise_solution, verbose_solution
 
 
-def sol(task_id, *prefixes, source=PROGRAM_TRACE):
-    return Solution(task_id, tuple(parse_prefix(s) for s in prefixes), source)
+def sol(task_id, *prefixes):
+    return Solution(task_id, tuple(parse_prefix(s) for s in prefixes))
 
 
 def test_concise_reference_solution_costs_8():
@@ -76,7 +74,7 @@ def test_c_score_undefined_for_zero_cost_baseline():
 
 @given(equations(max_depth=3), st.integers(2, 6))
 def test_self_c_score_is_zero(e, n):
-    s = Solution("t", tuple([e] * n), PROGRAM_TRACE)
+    s = Solution("t", tuple([e] * n))
     assert c_score(s, s) == 0
 
 
@@ -87,7 +85,7 @@ def test_mean_c_score_over_intersection():
         "only-target": sol("only-target", "(= x 4)"),
     }
     baselines = {
-        "a": sol("a", "(= (+ x 1) 3)", "(= x 2)", source=INGESTED_BASELINE),
+        "a": sol("a", "(= (+ x 1) 3)", "(= x 2)"),
         SAMPLE_TASK_ID: verbose_solution(),
         "only-baseline": sol("only-baseline", "(= x 4)"),
     }
@@ -124,7 +122,7 @@ def test_dedup_collapses_only_consecutive_repeats():
 @given(equations(max_depth=2), equations(max_depth=2), st.integers(1, 4))
 def test_dedup_never_increases_cost(e1, e2, reps):
     states = tuple([e1] * reps + [e2] * reps)
-    s = Solution("t", states, PROGRAM_TRACE)
+    s = Solution("t", states)
     assert solution_cost_f(dedup_steps(s)) <= solution_cost_f(s)
 
 
@@ -135,7 +133,6 @@ def test_extract_steps_matches_trace_granularity():
     assert len(s.states) == 5
     assert s.states[0] == e
     assert s.states[-1] == parse_prefix("(= x (/ 3 5))")
-    assert s.source == PROGRAM_TRACE
 
 
 def test_extract_steps_identity_program():

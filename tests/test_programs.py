@@ -18,20 +18,16 @@ from mathsynth.programs import (
     Lambda,
     Prim,
     ProgramError,
-    TINT,
-    TSTR,
     VarRef,
     apply_abstraction,
-    arrow,
     evaluate,
     infer_type,
     map_leaves,
     parse_program,
     program_cost,
     render_program,
-    render_type,
+    signature,
     spine,
-    split_type,
     unrolled_steps,
 )
 from oracles import interpreted
@@ -39,8 +35,8 @@ from oracles import interpreted
 
 def test_parse_pinned_forms():
     p = parse_program("(lambda (simplify (dist (rrotate $0 1) 1) 0))")
-    assert infer_type(p) == arrow(TSTR, TSTR)
-    assert infer_type(parse_program("(lambda $0)")) == arrow(TSTR, TSTR)
+    assert infer_type(p) == 1
+    assert infer_type(parse_program("(lambda $0)")) == 1
 
 
 def test_unbound_de_bruijn_ref():
@@ -60,20 +56,19 @@ def test_names_resolve_to_abstraction_names_only():
         parse_program("(lambda (__bodies__ $0))", [a])
 
 
-def test_render_type_joins_argument_and_result_types():
-    assert render_type(arrow(TSTR, TINT, TSTR)) == "tstr -> tint -> tstr"
-
-
-def test_split_type_separates_argument_types_from_the_result():
-    assert split_type(arrow(TSTR, TINT, TSTR)) == ((TSTR, TINT), TSTR)
-    assert split_type(TSTR) == ((), TSTR)
-    # a function-typed argument stays whole
-    assert split_type(arrow(arrow(TSTR, TSTR), TINT)) == ((arrow(TSTR, TSTR),), TINT)
+def test_signature_renders_the_equation_then_the_indices():
+    assert signature(1) == "tstr -> tstr"
+    assert signature(2) == "tstr -> tint -> tstr"
+    assert signature(3) == "tstr -> tint -> tint -> tstr"
 
 
 def test_typecheck_examples():
-    assert infer_type(parse_program("(lambda (sub $0 5))")) == arrow(TSTR, TSTR)
-    assert infer_type(parse_program("(lambda (lambda (sub $1 $0)))")) == arrow(TSTR, TINT, TSTR)
+    assert infer_type(Prim("sub")) == 2
+    assert infer_type(parse_program("(lambda (sub $0 5))")) == 1
+    assert infer_type(parse_program("(lambda (lambda (sub $1 $0)))")) == 2
+    for term in (IntLit(5), VarRef(0), parse_program("(lambda (sub $0 5))").body):
+        with pytest.raises(ProgramError):
+            infer_type(term)
     with pytest.raises(ProgramError):
         infer_type(Apply(Apply(Prim("sub"), IntLit(5)), Lambda(VarRef(0))))
 
@@ -216,7 +211,7 @@ def test_partial_applications_take_arguments_in_call_order():
     with pytest.raises(EvalError, match="swap takes 2 arguments, not 1"):
         evaluate(parse_program(NOT_CHAINS["partial-application"]), e)
     p = parse_program("(lambda (#(lambda (lambda (swap $1 $0))) $0 1))")
-    assert split_type(p.body.fn.fn.abstraction.type)[0] == (TSTR, TINT)
+    assert infer_type(p.body.fn.fn) == 2
     assert evaluate(p, e, trace=True)[1] == [e, parse_prefix("(= (+ 2 x) 9)")]
 
 
@@ -238,6 +233,22 @@ def test_an_abstraction_that_takes_its_equation_later_is_refused():
     lib = Library.initial()
     with pytest.raises(ProgramError, match="equation first"):
         lib.add_abstraction(parse_program(text))
+    assert lib.abstractions() == []
+
+
+def test_the_identity_is_refused_as_an_abstraction_body():
+    """(lambda $0) is a program, but a body that makes no step: as a search
+    action it would only remake the state it runs on.  It is refused by the
+    constructor, inline and by add_abstraction."""
+    e = parse_prefix("(= (+ x 2) 9)")
+    assert evaluate(parse_program("(lambda $0)"), e) == (e, None)
+    with pytest.raises(ProgramError, match="makes no step"):
+        Abstraction(parse_program("(lambda $0)"))
+    with pytest.raises(ProgramError, match="makes no step"):
+        parse_program("(lambda (#(lambda $0) $0))")
+    lib = Library.initial()
+    with pytest.raises(ProgramError, match="makes no step"):
+        lib.add_abstraction(parse_program("(lambda $0)"))
     assert lib.abstractions() == []
 
 
@@ -264,7 +275,7 @@ def test_an_abstraction_renders_inline_once_and_travels_without_its_caches():
     assert text.count("#(lambda (swap $0 1))") == 8
     assert render_program(Lambda(Apply(AbsRef(a), VarRef(0)))) == f"(lambda ({text} $0))"
     copy = pickle.loads(pickle.dumps(a))
-    assert copy == a and copy.type == a.type and copy._text is None
+    assert copy == a and copy.arity == a.arity == 1 and copy._text is None
     assert render_program(AbsRef(copy)) == text
 
 
@@ -309,9 +320,7 @@ def test_unrolled_steps_replay_the_abstraction_call(mini_run, eq, lits):
     learned = result.library.abstractions()
     assert learned
     for a in [Abstraction(parse_program(t)) for t in HAND_WRITTEN + UNROLLED] + learned:
-        types, _ = split_type(a.type)
-        assert types[0] == TSTR
-        ints = tuple(lits[: len(types) - 1])
+        ints = tuple(lits[: a.arity - 1])
         steps = unrolled_steps(a, ints)
         assert _outcome(lambda: _replayed(steps, eq)) == _outcome(
             lambda: interpreted(a, (eq,) + ints)

@@ -16,7 +16,6 @@ from mathsynth.equations import check_solved, parse_prefix
 from mathsynth.grammar import Library, fit_grammar
 from mathsynth.primitives import apply_primitive
 from mathsynth.programs import (
-    TINT,
     AbsRef,
     Abstraction,
     Apply,
@@ -27,7 +26,6 @@ from mathsynth.programs import (
     VarRef,
     apply_abstraction,
     evaluate,
-    is_arrow,
     parse_program,
     render_program,
 )
@@ -265,11 +263,7 @@ def test_compiled_abstractions_match_the_interpreter(mini_run, eq, lits):
     learned = result.library.abstractions()
     assert learned
     for a in learned + HAND_WRITTEN_ABSTRACTIONS:
-        args, t, ints = [], a.type, iter(lits)
-        while is_arrow(t):
-            args.append(next(ints) if t[1] == TINT else eq)
-            t = t[2]
-        args = tuple(args)
+        args = (eq, *lits[: a.arity - 1])
         assert _outcome(lambda: apply_abstraction(a, args)) == _outcome(
             lambda: interpreted(a, args)
         ), (a, args)
